@@ -1,0 +1,9 @@
+"""Make the benchmark package and the program importable from a plain pytest run."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for path in (str(ROOT / "src"), str(ROOT)):
+    if path not in sys.path:
+        sys.path.insert(0, path)
