@@ -1,4 +1,4 @@
-"""Pieces every workload shares: seeds, set-up timing, the proxy-model recipe."""
+"""Pieces every workload shares: seeds, set-up timing, the label-and-fit pass, digests."""
 
 from __future__ import annotations
 

@@ -222,4 +222,5 @@ def finish_trace(
     overhead = overhead_pct(reference.get("seconds", 0.0), traced)
     outcome.per_layer = per_layer_metrics(names["per_layer"], docs, windows, overhead)
     calls, _ = aggregate(combine(docs)[0], windows)
-    outcome.problems.extend(coverage_failures(ctx.workload, calls, int(reference.get("count", 0))))
+    problems = coverage_failures(ctx.workload, calls, int(reference.get("count", 0)))
+    outcome.check(not problems, "; ".join(problems))
