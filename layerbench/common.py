@@ -145,27 +145,44 @@ class Fitted:
         return (tuple(self.delays), tuple(self.areas), self.delay_mape, self.area_mape)
 
 
-def label_and_fit(library: Any, rows: Sequence[Row], aigs: Sequence[Any], params: Any, seed: int) -> Fitted:
-    """Label *aigs* through a fresh session's cached evaluator, fit on train rows, score test rows."""
+class Labeller:
+    """Cold labels (through a fresh session's cached evaluator) and features of *aigs*, in steps.
+
+    The labeller owns the graphs and drops each one once it is labelled, so
+    peak memory does not grow with the number of passes a run makes.
+    """
+
+    def __init__(self, library: Any, aigs: List[Any]) -> None:
+        from repro.api import SynthesisSession
+        from repro.features.extract import FeatureExtractor
+
+        self.aigs: List[Optional[Any]] = aigs
+        self.session = SynthesisSession(library=library)
+        self.extractor = FeatureExtractor()
+        self.labels: List[Any] = []
+        self.features: List[Any] = []
+        self.sample_seconds: List[float] = []
+
+    def step(self, count: int) -> None:
+        """Label the next *count* graphs (fewer when fewer are left)."""
+        for index in range(len(self.labels), min(len(self.labels) + count, len(self.aigs))):
+            aig, self.aigs[index] = self.aigs[index], None
+            began = now()
+            self.labels.append(self.session.evaluator.evaluate(aig))
+            self.features.append(self.extractor.extract(aig))
+            self.sample_seconds.append(now() - began)
+
+
+def fit_and_score(labeller: Labeller, rows: Sequence[Row], params: Any, seed: int, start: float) -> Fitted:
+    """Fit delay and area GBDTs on the train rows of a finished *labeller*, score its test rows."""
     import numpy as np
 
-    from repro.api import SynthesisSession
-    from repro.features.extract import FeatureExtractor
     from repro.ml.gbdt import GradientBoostingRegressor
 
-    session = SynthesisSession(library=library)
-    extractor = FeatureExtractor()
-    start = now()
-    sample_seconds, labels, features = [], [], []
-    for aig in aigs:
-        began = now()
-        labels.append(session.evaluator.evaluate(aig))
-        features.append(extractor.extract(aig))
-        sample_seconds.append(now() - began)
-    matrix = np.vstack(features)
+    matrix = np.vstack(labeller.features)
     train = np.array([row.train for row in rows])
-    delays = np.array([ppa.delay_ps for ppa in labels])
-    areas = np.array([ppa.area_um2 for ppa in labels])
+    delays = np.array([ppa.delay_ps for ppa in labeller.labels])
+    areas = np.array([ppa.area_um2 for ppa in labeller.labels])
     fit_start = now()
     delay_model = GradientBoostingRegressor(params, rng=derive(seed, "fit", "delay"))
     delay_model.fit(matrix[train], delays[train])
@@ -179,22 +196,52 @@ def label_and_fit(library: Any, rows: Sequence[Row], aigs: Sequence[Any], params
         area_mape = mape_pct(areas[test].tolist(), area_model.predict(matrix[test]).tolist())
     end = now()
     return Fitted(
-        end - start, (start, end), sample_seconds, fit_seconds, 2 * params.n_estimators,
+        end - start, (start, end), labeller.sample_seconds, fit_seconds, 2 * params.n_estimators,
         delays.tolist(), areas.tolist(), delay_model, area_model, delay_mape, area_mape,
     )
 
 
-def score_recipe(library: Any, seed: int) -> Dict[str, float]:
-    """Model error and training throughput of the scoring recipe, for workloads without their own."""
-    from repro.ml.gbdt import GbdtParams
+def label_and_fit(library: Any, rows: Sequence[Row], aigs: List[Any], params: Any, seed: int) -> Fitted:
+    """Label *aigs* through a fresh session's cached evaluator, fit on train rows, score test rows."""
+    labeller = Labeller(library, aigs)
+    start = now()
+    labeller.step(len(rows))
+    return fit_and_score(labeller, rows, params, seed, start)
 
-    rows = corpus(seed, SCORE_TRAIN_VARIANTS, SCORE_TEST_VARIANTS)
-    fitted = label_and_fit(library, rows, build_rows(rows), GbdtParams(n_estimators=SCORE_TREES), seed)
-    return {
-        "train_samples_per_s": len(rows) / fitted.seconds,
-        "delay_mape_pct": fitted.delay_mape,
-        "area_mape_pct": fitted.area_mape,
-    }
+
+class ScoringRecipe:
+    """Model error and training throughput for the workloads without a labelling step of their own.
+
+    The recipe labels a smaller corpus of label_train's shape, fits two
+    :data:`SCORE_TREES`-tree GBDTs and scores the test rows.  Its graphs are
+    built untimed when it is made; :meth:`step` labels a few of them, so a
+    workload can spread the labelling over its run and the throughput
+    averages over as much of the host's speed drift as the workload's own
+    metrics do.
+    """
+
+    def __init__(self, library: Any, seed: int) -> None:
+        self.seed = seed
+        self.rows = corpus(seed, SCORE_TRAIN_VARIANTS, SCORE_TEST_VARIANTS)
+        self.labeller = Labeller(library, build_rows(self.rows))
+        self.seconds = 0.0
+
+    def step(self, count: int) -> None:
+        start = now()
+        self.labeller.step(count)
+        self.seconds += now() - start
+
+    def finish(self) -> Dict[str, float]:
+        """Label what is left, fit and score; the three stand-in metrics."""
+        from repro.ml.gbdt import GbdtParams
+
+        self.step(len(self.rows))
+        fitted = fit_and_score(self.labeller, self.rows, GbdtParams(n_estimators=SCORE_TREES), self.seed, now())
+        return {
+            "train_samples_per_s": len(self.rows) / (self.seconds + fitted.seconds),
+            "delay_mape_pct": fitted.delay_mape,
+            "area_mape_pct": fitted.area_mape,
+        }
 
 
 def check_digest(ctx: Context, outcome: Outcome) -> None:

@@ -5,19 +5,19 @@ from __future__ import annotations
 import random
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from layerbench.common import (
-    Context, Fitted, Outcome, Row, build_rows, corpus, derive, label_and_fit, peak_rss_mb, save_run_record,
-    timed_setup,
+    SCORE_TREES, Context, Fitted, Labeller, Outcome, Row, build_rows, corpus, derive, fit_and_score,
+    peak_rss_mb, save_run_record, timed_setup,
 )
 from layerbench.layers import traced_metrics
 from layerbench.summary import geomean, percentile
-from layerbench.tracer import Tracer
+from layerbench.tracer import Tracer, now
 
 #: Seeded variants per spec; the models fit the train rows and score the test rows.
-TRAIN_VARIANTS = 16
-TEST_VARIANTS = 8
+TRAIN_VARIANTS = 24
+TEST_VARIANTS = 16
 #: Labels re-derived by a fresh, uncached evaluator after the timed region.
 CHECKED_LABELS = 4
 
@@ -26,25 +26,34 @@ CHECKED_LABELS = 4
 class Setup:
     library: Any
     rows: List[Row]
-    #: Graphs for the first pass; later passes build fresh ones, untimed.
+    #: Graphs for the first pass, handed to its labeller; later passes build
+    #: fresh ones, untimed.
     aigs: List[Any]
 
 
-def timed_passes(ctx: Context, setup: Setup, tracer: Optional[Tracer]) -> List[Fitted]:
-    """Labelling passes until --seconds are spent (at least one), or as many as the untraced run made."""
+def timed_passes(ctx: Context, setup: Setup, tracer: Optional[Tracer]) -> Tuple[List[Fitted], Labeller]:
+    """Labelling passes until --seconds are spent (at least one), or as many as the untraced run made.
+
+    Returns the passes and the first pass's labels.
+    """
     from repro.ml.gbdt import GbdtParams
 
     count = ctx.reference.get("count") if ctx.reference else None
     passes: List[Fitted] = []
+    first: Optional[Labeller] = None
     spent = 0.0
     while (len(passes) < count) if count is not None else (not passes or spent < ctx.seconds):
         # Fresh graphs and a fresh session each pass: every label is a cold map + STA.
-        aigs = setup.aigs if not passes else build_rows(setup.rows)
+        aigs, setup.aigs = setup.aigs or build_rows(setup.rows), []
+        labeller = Labeller(setup.library, aigs)
         with tracer.scope(f"label:{len(passes)}") if tracer is not None else nullcontext():
-            result = label_and_fit(setup.library, setup.rows, aigs, GbdtParams(), ctx.seed)
+            start = now()
+            labeller.step(len(setup.rows))
+            result = fit_and_score(labeller, setup.rows, GbdtParams(), ctx.seed, start)
         passes.append(result)
+        first = first or labeller
         spent += result.seconds
-    return passes
+    return passes, first
 
 
 def verify(ctx: Context, setup: Setup, passes: List[Fitted], outcome: Outcome) -> None:
@@ -62,6 +71,21 @@ def verify(ctx: Context, setup: Setup, passes: List[Fitted], outcome: Outcome) -
             (ppa.delay_ps, ppa.area_um2) == (first.delays[index], first.areas[index]),
             f"label {row.spec}/{row.seed}: fresh ground truth differs from the cached label",
         )
+
+
+def steady_error(ctx: Context, setup: Setup, labelled: Labeller) -> Dict[str, float]:
+    """Test-row error of :data:`SCORE_TREES`-tree GBDTs fitted, untimed, on the first pass's labels.
+
+    The timed default-parameter models fit the four train-spec clusters
+    closely and extrapolate to the test specs piecewise, so which variants a
+    seed draws moves their error a lot: over 24 seeds it spreads 0.16-0.27
+    (IQR over median) at 16-40 train variants per spec.  The smoother
+    50-tree fit of the same rows spreads ~0.1.
+    """
+    from repro.ml.gbdt import GbdtParams
+
+    scored = fit_and_score(labelled, setup.rows, GbdtParams(n_estimators=SCORE_TREES), ctx.seed, now())
+    return {"delay_mape_pct": scored.delay_mape, "area_mape_pct": scored.area_mape}
 
 
 def run(ctx: Context, names: Dict[str, List[str]]) -> Outcome:
@@ -83,7 +107,7 @@ def run(ctx: Context, names: Dict[str, List[str]]) -> Outcome:
     outcome = Outcome()
     tracer = Tracer() if ctx.trace else None
     with traced_metrics(ctx, names, tracer, outcome) as windows:
-        passes = timed_passes(ctx, setup, tracer)
+        passes, labelled = timed_passes(ctx, setup, tracer)
         windows.extend(p.window for p in passes)
     rss = peak_rss_mb()
     outcome.attempted += len(passes) * len(setup.rows)
@@ -106,8 +130,7 @@ def run(ctx: Context, names: Dict[str, List[str]]) -> Outcome:
         "final_delay_ps": geomean(first.delays),
         "final_area_um2": geomean(first.areas),
         "train_samples_per_s": len(passes) * len(setup.rows) / sum(p.seconds for p in passes),
-        "delay_mape_pct": first.delay_mape,
-        "area_mape_pct": first.area_mape,
+        **steady_error(ctx, setup, labelled),
         "job_latency_p50_s": percentile(samples, 0.5),
         "job_latency_p90_s": percentile(samples, 0.9),
         "jobs_per_s": len(samples) / sum(samples),

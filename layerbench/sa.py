@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
+import statistics
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import permutations, product
 from typing import Any, Dict, List, Optional, Tuple
 
 from layerbench.common import (
-    Context, Fitted, Outcome, build_rows, corpus, derive, label_and_fit, peak_rss_mb, save_run_record,
-    score_recipe, timed_setup,
+    Context, Fitted, Outcome, ScoringRecipe, build_rows, corpus, derive, label_and_fit, peak_rss_mb,
+    save_run_record, timed_setup,
 )
 from layerbench.layers import traced_metrics
 from layerbench.summary import geomean, percentile
@@ -17,25 +17,25 @@ from layerbench.tracer import Tracer, now
 
 #: SA runs alternate between a shallow control design and the deep multiplier,
 #: each run on a freshly seeded variant, with iteration budgets that make the
-#: two kinds of run take about as long, so run latencies form one population.
-SPECS: Tuple[Tuple[str, int], ...] = (("EX02", 5), ("EX54", 2))
+#: two kinds of run take about as long (~2.2 s each on a 2-CPU VM), so run
+#: latencies form one population.
+SPECS: Tuple[Tuple[str, int], ...] = (("EX02", 4), ("EX54", 2))
 #: Runs always made, whatever --seconds says; QoR and verdicts cover these.
 #: A run also stops only after whole pairs, so both designs weigh equally.
 MIN_RUNS = 4
 #: sa_ml's in-loop models learn from this many seeded variants per train spec.
 MODEL_VARIANTS = 3
 MODEL_TREES = 50
+#: Scoring-recipe graphs labelled after each SA run of an untraced run.
+RECIPE_STEP = 8
 
-#: Every SA move runs one rewrite pass, one refactor pass and one cheap pass,
-#: in any order.  The default 103-script catalog mixes one-pass moves with
-#: ten-pass ones (per-move cost CV ~0.5), which at this iteration budget
-#: would make seconds per iteration mostly a function of which moves the
-#: seed happened to draw.
-CATALOG: List[List[str]] = [
-    list(order)
-    for rewrite, refactor, cheap in product(("rw", "rwz"), ("rf", "rfz"), ("b", "rs"))
-    for order in permutations((rewrite, refactor, cheap))
-]
+#: Every SA move is a rewrite pass, a refactor pass and a cheap finishing
+#: pass (balance or resubstitution).  The moves cost the same, so seconds per
+#: iteration measure the program, not which moves the seed happened to draw:
+#: with the default 103-script catalog (one to ten passes a move) an SA run's
+#: seconds per iteration vary with a CV of ~0.3, and mixing zero-cost and
+#: plain passes or their order still leaves ~0.2; these two moves leave ~0.08.
+CATALOG: List[List[str]] = [["rw", "rf", "b"], ["rw", "rf", "rs"]]
 
 FLOWS = {"sa_ground_truth": "ground-truth", "sa_ml": "ml"}
 
@@ -111,19 +111,27 @@ def run_unit(setup: Setup, flow: str, unit: Unit, tracer: Optional[Tracer] = Non
     return UnitResult(unit, end - start, (start, end), aig, result.best_aig, result.delay_ps, result.area_um2)
 
 
-def timed_runs(ctx: Context, setup: Setup, flow: str, tracer: Optional[Tracer]) -> List[UnitResult]:
-    """SA runs until --seconds pass (at least :data:`MIN_RUNS`, whole pairs), or as many as the untraced run made."""
+def timed_runs(
+    ctx: Context, setup: Setup, flow: str, tracer: Optional[Tracer], recipe: Optional[ScoringRecipe]
+) -> List[UnitResult]:
+    """SA runs until --seconds pass (at least :data:`MIN_RUNS`, whole pairs), or as many as the untraced run made.
+
+    Between SA runs, outside their timing, *recipe* labels a few graphs.
+    """
     count = ctx.reference.get("count") if ctx.reference else None
     results: List[UnitResult] = []
-    start = now()
+    spent = 0.0
     while True:
         done = len(results)
         if count is not None:
             if done >= count:
                 break
-        elif done >= MIN_RUNS and done % len(SPECS) == 0 and now() - start >= ctx.seconds:
+        elif done >= MIN_RUNS and done % len(SPECS) == 0 and spent >= ctx.seconds:
             break
         results.append(run_unit(setup, flow, unit_at(ctx.seed, done), tracer))
+        spent += results[-1].seconds
+        if recipe is not None:
+            recipe.step(RECIPE_STEP)
     return results
 
 
@@ -166,8 +174,9 @@ def run(ctx: Context, names: Dict[str, List[str]]) -> Outcome:
     setup, setup_s = timed_setup(ctx, build)
     outcome = Outcome()
     tracer = Tracer() if ctx.trace else None
+    recipe = None if ctx.trace else ScoringRecipe(setup.library, ctx.seed)
     with traced_metrics(ctx, names, tracer, outcome) as windows:
-        results = timed_runs(ctx, setup, flow, tracer)
+        results = timed_runs(ctx, setup, flow, tracer, recipe)
         windows.extend(r.window for r in results)
     rss = peak_rss_mb()
     outcome.attempted += len(results)
@@ -186,11 +195,11 @@ def run(ctx: Context, names: Dict[str, List[str]]) -> Outcome:
     outcome.end_to_end = {
         "setup_s": setup_s,
         "peak_rss_mb": rss,
-        # SA seconds of one run of each design (mean over the run's variants), per iteration.
-        "iter_s": sum(sum(v) / len(v) for v in by_spec.values()) / sum(iterations[spec] for spec in by_spec),
+        # SA seconds of one run of each design (median over the run's variants), per iteration.
+        "iter_s": sum(statistics.median(v) for v in by_spec.values()) / sum(iterations[spec] for spec in by_spec),
         "final_delay_ps": geomean([r.delay_ps for r in measured]),
         "final_area_um2": geomean([r.area_um2 for r in measured]),
-        **score_recipe(setup.library, ctx.seed),
+        **recipe.finish(),
         "job_latency_p50_s": percentile(durations, 0.5),
         "job_latency_p90_s": percentile(durations, 0.9),
         "jobs_per_s": len(results) / sum(durations),

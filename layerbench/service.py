@@ -16,7 +16,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.campaign.store import strip_timing
 
-from layerbench.common import Context, Outcome, derive, save_run_record, score_recipe, timed_setup
+from layerbench.common import Context, Outcome, ScoringRecipe, derive, save_run_record, timed_setup
 from layerbench.layers import finish_trace
 from layerbench.summary import TAIL_SAMPLES, geomean, min_samples_for_tail, percentile
 from layerbench.tracer import now
@@ -249,10 +249,13 @@ def run(ctx: Context, names: Dict[str, List[str]]) -> Outcome:
     outcome.end_to_end = {
         "setup_s": setup_s,
         "peak_rss_mb": server_rss,
-        "iter_s": sum(r["runtime_seconds"] for r in distinct) / sum(r["iterations"] for r in distinct),
+        # Loop seconds per SA iteration the service ran.  The jobs' own
+        # runtime_seconds include waiting for the interpreter while the other
+        # worker runs, so their sum swings with how the two jobs overlapped.
+        "iter_s": (end - start) / sum(r["iterations"] for r in distinct),
         "final_delay_ps": geomean([r["final_delay_ps"] for r in distinct]),
         "final_area_um2": geomean([r["final_area_um2"] for r in distinct]),
-        **score_recipe(load_sky130_lite(), ctx.seed),
+        **ScoringRecipe(load_sky130_lite(), ctx.seed).finish(),
         "job_latency_p50_s": percentile(latencies, 0.5),
         "job_latency_p90_s": percentile(latencies, 0.9),
         "jobs_per_s": len(jobs) / (end - start),
