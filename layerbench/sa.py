@@ -26,7 +26,7 @@ MIN_RUNS = 4
 #: sa_ml's in-loop models learn from this many seeded variants per train spec.
 MODEL_VARIANTS = 3
 MODEL_TREES = 50
-#: Scoring-recipe graphs labelled after each SA run of an untraced run.
+#: Scoring-recipe graphs labelled after each SA run.
 RECIPE_STEP = 8
 
 #: Every SA move is a rewrite pass, a refactor pass and a cheap finishing
@@ -112,7 +112,7 @@ def run_unit(setup: Setup, flow: str, unit: Unit, tracer: Optional[Tracer] = Non
 
 
 def timed_runs(
-    ctx: Context, setup: Setup, flow: str, tracer: Optional[Tracer], recipe: Optional[ScoringRecipe]
+    ctx: Context, setup: Setup, flow: str, tracer: Optional[Tracer], recipe: ScoringRecipe
 ) -> List[UnitResult]:
     """SA runs until --seconds pass (at least :data:`MIN_RUNS`, whole pairs), or as many as the untraced run made.
 
@@ -130,8 +130,7 @@ def timed_runs(
             break
         results.append(run_unit(setup, flow, unit_at(ctx.seed, done), tracer))
         spent += results[-1].seconds
-        if recipe is not None:
-            recipe.step(RECIPE_STEP)
+        recipe.step(RECIPE_STEP)
     return results
 
 
@@ -174,7 +173,9 @@ def run(ctx: Context, names: Dict[str, List[str]]) -> Outcome:
     setup, setup_s = timed_setup(ctx, build)
     outcome = Outcome()
     tracer = Tracer() if ctx.trace else None
-    recipe = None if ctx.trace else ScoringRecipe(setup.library, ctx.seed)
+    # A traced run labels the recipe's graphs too, though it reports nothing
+    # from them, so traced and untraced SA runs share a process equally.
+    recipe = ScoringRecipe(setup.library, ctx.seed)
     with traced_metrics(ctx, names, tracer, outcome) as windows:
         results = timed_runs(ctx, setup, flow, tracer, recipe)
         windows.extend(r.window for r in results)
