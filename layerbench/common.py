@@ -20,8 +20,9 @@ TEST_SPECS = ("EX02", "EX11", "EX16", "EX54")
 SETUP_REPEATS = 3
 
 #: The scoring recipe: workloads without a labelling step of their own
-#: label, fit and score this corpus after their timed region, so every
-#: workload reports model error and training throughput.
+#: label, fit and score this corpus outside their own timing, so every
+#: workload reports model error and training throughput.  label_train also
+#: reports the error of SCORE_TREES-tree fits of its labels.
 SCORE_TRAIN_VARIANTS = 16
 SCORE_TEST_VARIANTS = 8
 SCORE_TREES = 50
