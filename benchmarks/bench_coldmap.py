@@ -5,9 +5,10 @@ run and writes them as ``benchmarks/results/BENCH_coldmap.json``:
 
 * **Cold map+STA**: technology mapping plus full STA on a freshly built
   design (cold per-graph caches), measured twice in the same process —
-  once with ``REPRO_MAP_DP=scalar`` (the reference DP) and once with the
-  vectorized DP — so the reported speedup is self-contained rather than
-  pinned to another machine's reference numbers.
+  once with ``dp_arrays.try_full_dp`` patched to return ``None`` (the
+  mapper then runs the scalar reference DP) and once with the vectorized
+  DP — so the reported speedup is self-contained rather than pinned to
+  another machine's reference numbers.
 * **Cold-vs-warm campaign resume**: a tiny campaign runs once against a
   sharded store (writing the warm-start snapshot sidecar), then the same
   cells are re-executed into a fresh in-memory store twice from a cold
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform
 import tempfile
 import time
@@ -53,6 +53,7 @@ from repro.campaign import (
 from repro.campaign.warmstart import WARMSTART_PAYLOAD_KEY, load_entries
 from repro.designs.registry import build_design
 from repro.library.sky130_lite import load_sky130_lite
+from repro.mapping import dp_arrays
 from repro.mapping.mapper import TechnologyMapper
 from repro.sta.analysis import analyze_timing
 
@@ -60,7 +61,10 @@ from repro.sta.analysis import analyze_timing
 def _cold_map_sta(design: str, repeats: int, scalar: bool):
     """Best-of-N cold map+STA wall clock; returns (seconds, DpStats)."""
     library = load_sky130_lite()
-    os.environ["REPRO_MAP_DP"] = "scalar" if scalar else "vector"
+    vector_dp = dp_arrays.try_full_dp
+    if scalar:
+        # The mapper looks the DP up at call time; None means "run scalar".
+        dp_arrays.try_full_dp = lambda mapper, aig: None
     try:
         best = float("inf")
         stats = None
@@ -74,7 +78,7 @@ def _cold_map_sta(design: str, repeats: int, scalar: bool):
             stats = mapper.last_dp_stats
         return best, stats
     finally:
-        os.environ.pop("REPRO_MAP_DP", None)
+        dp_arrays.try_full_dp = vector_dp
 
 
 def _fresh_worker_pool() -> None:
@@ -116,7 +120,7 @@ def run_warm_resume(iterations: int) -> dict:
         designs=("EX00",),
         flows=("baseline",),
         optimizers=("greedy",),
-        evaluators=("cached", "incremental"),
+        evaluators=("cached",),
         seeds=(1, 2),
         iterations=iterations,
     )

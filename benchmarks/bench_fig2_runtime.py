@@ -7,11 +7,9 @@ ratio is smaller; the shape (ground truth strictly slower, overhead grows
 with design size) is asserted here.
 """
 
-import os
-
 from conftest import run_once
 
-from repro.experiments.fig2_runtime import run_fig2_incremental, run_fig2_runtime
+from repro.experiments.fig2_runtime import run_fig2_runtime
 
 
 def test_fig2_runtime_comparison(benchmark, bench_config, save_result):
@@ -30,31 +28,3 @@ def test_fig2_runtime_comparison(benchmark, bench_config, save_result):
     overhead_small = ordered[0].ground_truth_seconds - ordered[0].baseline_seconds
     overhead_large = ordered[-1].ground_truth_seconds - ordered[-1].baseline_seconds
     assert overhead_large > overhead_small
-
-
-def test_fig2_incremental_visit_reduction(benchmark, bench_config, save_result):
-    """SA on the largest seed design with the incremental evaluator.
-
-    At full scale (>= 100 SA iterations; override with
-    ``REPRO_BENCH_INC_ITERS``) the incremental engine must perform at most
-    half the match-DP node visits a from-scratch evaluator would: revisited
-    structures are free and locally perturbed candidates only re-map their
-    dirty cone.  Quick/smoke runs only assert the accounting invariants —
-    with just a handful of iterations the state pool never warms up.
-    """
-    try:
-        iterations = int(os.environ.get("REPRO_BENCH_INC_ITERS", 120))
-    except ValueError:
-        iterations = 120
-    result = run_once(
-        benchmark, lambda: run_fig2_incremental(bench_config, iterations=iterations)
-    )
-
-    save_result("fig2_incremental", result.format_table())
-
-    assert len(result.rows) == 1
-    row = result.rows[0]
-    assert row.dp_nodes_evaluated <= row.dp_nodes_possible
-    assert row.evaluations >= iterations
-    if iterations >= 100:
-        assert row.visit_reduction >= 2.0

@@ -30,7 +30,6 @@ __all__ = [
     "EvalRequest",
     "Evaluator",
     "GroundTruthEvaluator",
-    "IncrementalEvaluator",
     "OptimizeRequest",
     "OptimizeResult",
     "ParallelEvaluator",

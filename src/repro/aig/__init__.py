@@ -17,15 +17,7 @@ from repro.aig.equivalence import (
     check_equivalence_random,
 )
 from repro.aig.graph import Aig, AigStats
-from repro.aig.journal import (
-    JournalEntry,
-    MutationJournal,
-    StructuralDiff,
-    dirty_cone,
-    node_hashes,
-    node_hashes_cached,
-    structural_diff,
-)
+from repro.aig.journal import node_hashes, node_hashes_cached
 from repro.aig.literals import (
     CONST0,
     CONST1,
@@ -62,10 +54,6 @@ __all__ = [
     "critical_path_nodes",
     "enumerate_cuts",
     "exhaustive_pi_patterns",
-    "JournalEntry",
-    "MutationJournal",
-    "StructuralDiff",
-    "dirty_cone",
     "is_complemented",
     "literal_var",
     "make_literal",
@@ -76,7 +64,6 @@ __all__ = [
     "node_hashes_cached",
     "node_signatures",
     "po_depths",
-    "structural_diff",
     "transitive_fanout",
     "po_truth_tables",
     "random_aig",

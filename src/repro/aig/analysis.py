@@ -153,14 +153,13 @@ def transitive_fanout(
 ) -> Set[int]:
     """Variables reachable from *roots* (variable ids) via fanout edges.
 
-    This is the *dirty cone* of incremental evaluation: when only the root
-    nodes were perturbed, every node whose mapping choice or arrival time can
-    differ lies in the transitive fanout of the roots (consumers see changed
-    structure, arrival times, or fanout-dependent area flow).
+    When only the root nodes were perturbed, every node whose mapping choice
+    or arrival time can differ lies in the transitive fanout of the roots
+    (consumers see changed structure, arrival times, or fanout-dependent
+    area flow).
 
-    An out-of-range root raises :class:`AigError`: a silent drop here would
-    mask journal corruption and shrink the dirty cone into wrong-answer
-    territory.
+    An out-of-range root raises :class:`AigError` rather than being dropped,
+    so a caller's stale node id cannot silently shrink the reached set.
     """
     size = aig.size
     root_list = list(roots)

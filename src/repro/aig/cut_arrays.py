@@ -35,11 +35,10 @@ suite asserting cut-set and table equality against the scalar path.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.aig.cuts import Cut
 from repro.aig.graph import Aig
 from repro.aig.simulate import cone_truth_table
 from repro.errors import AigError
@@ -175,30 +174,6 @@ class CutArrays:
         """Row index range of *var*'s cut list."""
         begin = int(self.start[var])
         return range(begin, begin + int(self.count[var]))
-
-    def to_cut_dict(self, aig: Aig) -> Dict[int, List[Cut]]:
-        """Materialise the scalar ``enumerate_cuts`` dictionary.
-
-        Produces the same keys in the same insertion order with the same
-        per-node cut lists, so callers needing :class:`Cut` objects (the
-        incremental mapper's baseline state) can switch over wholesale.
-        """
-        leaves_list = self.leaves.tolist()
-        sizes_list = self.sizes.tolist()
-        start_list = self.start.tolist()
-        count_list = self.count.tolist()
-        cuts: Dict[int, List[Cut]] = {0: [Cut(0, (0,))]}
-        for var in aig.pi_vars:
-            cuts[var] = [Cut(var, (var,))]
-        for var in aig.arrays().and_vars.tolist():
-            begin = start_list[var]
-            node_cuts = []
-            for row in range(begin, begin + count_list[var]):
-                node_cuts.append(
-                    Cut(var, tuple(leaves_list[row][: sizes_list[row]]))
-                )
-            cuts[var] = node_cuts
-        return cuts
 
 
 def _segmented_arange(counts: np.ndarray, total: int) -> np.ndarray:

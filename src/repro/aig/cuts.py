@@ -91,9 +91,7 @@ def merge_node_cuts(
 ) -> List[Cut]:
     """Cut list of AND node *var* from its two fanins' cut lists.
 
-    This is the per-node step of :func:`enumerate_cuts`, exposed separately
-    so the incremental mapper can recompute cuts for dirty nodes only while
-    producing exactly the lists a full enumeration would.
+    This is the per-node step of :func:`enumerate_cuts`.
     """
     merged: List[Cut] = []
     seen_leaves = set()

@@ -23,11 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.aig.journal import (
-    MutationJournal,
-    fingerprint_from_hashes,
-    node_hashes_cached,
-)
+from repro.aig.journal import fingerprint_from_hashes, node_hashes_cached
 from repro.aig.literals import (
     CONST0,
     CONST1,
@@ -71,9 +67,6 @@ class Aig:
         self._pos: List[int] = []
         self._po_names: List[str] = []
         self._strash: Dict[Tuple[int, int], int] = {}
-        # Mutation journal for incremental evaluation; disabled by default so
-        # the construction hot path only pays a boolean check.
-        self.journal = MutationJournal()
         # Cache for journal.node_hashes_cached: valid while size is
         # unchanged (node arrays are append-only, PO edits don't matter).
         self._node_hash_cache: Optional[List[bytes]] = None
@@ -99,8 +92,6 @@ class Aig:
         self._is_pi[var] = True
         self._pis.append(var)
         self._pi_names.append(name if name is not None else f"pi{len(self._pis) - 1}")
-        if self.journal.enabled:
-            self.journal.note_var(var)
         return make_literal(var)
 
     def add_po(self, lit: int, name: Optional[str] = None) -> int:
@@ -109,8 +100,6 @@ class Aig:
         self._pos.append(lit)
         self._po_names.append(name if name is not None else f"po{len(self._pos) - 1}")
         self._po_version += 1
-        if self.journal.enabled:
-            self.journal.note_po(len(self._pos) - 1, literal_var(lit))
         return len(self._pos) - 1
 
     def add_and(self, a: int, b: int) -> int:
@@ -139,8 +128,6 @@ class Aig:
         self._fanin0[var] = a
         self._fanin1[var] = b
         self._strash[key] = var
-        if self.journal.enabled:
-            self.journal.note_var(var)
         return make_literal(var)
 
     # Convenience gates built from ANDs ----------------------------------
@@ -249,8 +236,6 @@ class Aig:
             raise AigError(f"PO index {index} out of range")
         self._pos[index] = lit
         self._po_version += 1
-        if self.journal.enabled:
-            self.journal.note_po(index, literal_var(lit))
 
     def is_pi(self, var: int) -> bool:
         """True when variable *var* is a primary input."""
@@ -340,12 +325,12 @@ class Aig:
         insensitive to node creation order, to the relative order of the two
         fanins of an AND, to node names, and to dead (PO-unreachable) logic.
 
-        That makes it the right key for *structural similarity* (the
-        incremental evaluator's baseline matching), but NOT a sound key for
-        memoising mapper/STA results: cut enumeration truncates and breaks
-        ties by variable id, so two graphs with equal fingerprints but
-        different node numbering can map to (slightly) different delay and
-        area.  Result caches must key on :meth:`exact_key` instead.
+        That makes it the right key for *structural similarity*, but NOT a
+        sound key for memoising mapper/STA results: cut enumeration
+        truncates and breaks ties by variable id, so two graphs with equal
+        fingerprints but different node numbering can map to (slightly)
+        different delay and area.  Result caches must key on
+        :meth:`exact_key` instead.
         """
         return fingerprint_from_hashes(self, node_hashes_cached(self))
 
@@ -395,11 +380,8 @@ class Aig:
         other._pos = list(self._pos)
         other._po_names = list(self._po_names)
         other._strash = dict(self._strash)
-        # Journal enablement is inherited (derived graphs keep recording);
-        # recorded entries belong to this graph and are not copied.  The
-        # hash cache transfers by reference: it describes the same arrays,
-        # and any growth on either side replaces (never mutates) it.
-        other.journal.enabled = self.journal.enabled
+        # The hash cache transfers by reference: it describes the same
+        # arrays, and any growth on either side replaces (never mutates) it.
         other._node_hash_cache = self._node_hash_cache
         # The array snapshot describes the same (append-only) node arrays,
         # so it transfers by reference too; growth on either side replaces
@@ -438,9 +420,6 @@ class Aig:
             old_to_new[var] = new.add_and(f0, f1)
         for lit, po_name in zip(self._pos, self._po_names):
             new.add_po(self._map_literal(lit, old_to_new), po_name)
-        # Enabled only after construction so the rebuild itself is not
-        # journalled as a sea of touched nodes.
-        new.journal.enabled = self.journal.enabled
         return new
 
     def _reachable_vars(self) -> set:

@@ -1,37 +1,19 @@
-"""Mutation journal and structural diffing for incremental evaluation.
+"""Structural node hashing: the basis of :meth:`Aig.fingerprint`.
 
-The incremental PPA engine (:mod:`repro.mapping.incremental`,
-:class:`repro.api.incremental.IncrementalEvaluator`) needs to know, for a
-candidate AIG produced by a transform, which nodes can reuse the mapping and
-timing state of an already-evaluated baseline graph.  Two mechanisms feed it:
-
-* a :class:`MutationJournal` attached to every :class:`~repro.aig.graph.Aig`.
-  When enabled it records touched variable ids per transform (new nodes, PO
-  redirects) and the exact key of the parent graph each transform started
-  from, so an evaluator can locate its baseline state without rehashing.
-* :func:`structural_diff`, which compares two graphs by per-node structural
-  hashes (:func:`node_hashes`, the same hashes that power
-  :meth:`Aig.fingerprint`) and reports which nodes of the child are *touched*
-  — not structurally present in the parent, or present with a different
-  fanout count.  Because the per-node mapping/timing state of a node depends
-  only on its transitive-fanin structure and the fanout counts inside that
-  cone, the transitive fanout of the touched set (the *dirty cone*, see
-  :func:`repro.aig.analysis.transitive_fanout`) is a sound over-approximation
-  of every node whose mapping choice or arrival time can change.
-
-Transforms are implemented rebuild-style (a fresh graph per application), so
-:meth:`repro.transforms.base.Transform.run` records one journal entry per
-transform on the *output* graph whenever journaling is enabled on the input.
+:func:`node_hashes` gives every variable a hash of its transitive-fanin
+structure, independent of variable ids and of the order of the two fanins
+of an AND.  :func:`fingerprint_from_hashes` folds the hashes of the nodes
+feeding the primary outputs into the graph-level fingerprint, and
+:func:`node_hashes_cached` memoises the per-node list on the graph, which
+is sound because node arrays are append-only.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, List, Sequence
 
 from repro.aig.literals import is_complemented, literal_var
-from repro.errors import AigError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.aig.graph import Aig
@@ -46,9 +28,8 @@ def node_hashes(aig: "Aig") -> List[bytes]:
     Two variables (possibly in different graphs) receive the same hash
     exactly when they compute the same AND/inverter structure over the same
     primary-input *positions*.  The hash is insensitive to variable ids and
-    to the order of the two fanins, which makes it the correspondence key
-    between a baseline graph and a transformed candidate.  The PO-level
-    digest of :meth:`Aig.fingerprint` is built from these same hashes.
+    to the order of the two fanins.  The PO-level digest of
+    :meth:`Aig.fingerprint` is built from these hashes.
     """
     hashes: List[bytes] = [_CONST_HASH] * aig.size
     for index, var in enumerate(aig.pi_vars):
@@ -72,10 +53,7 @@ def node_hashes_cached(aig: "Aig") -> List[bytes]:
     Sound because the graph's node arrays are append-only: existing
     variables never change their fanins, so a cached hash list is valid for
     exactly as long as the variable count is unchanged (PO edits do not
-    affect node hashes).  This collapses the repeated whole-graph hashing a
-    journaled transform chain would otherwise pay — the child hashed for
-    the transform diff is the same list the evaluator and the next diff
-    (where it is the parent) reuse.
+    affect node hashes), and clones share it until either side grows.
     """
     cache = aig._node_hash_cache
     if cache is not None and len(cache) == aig.size:
@@ -86,272 +64,10 @@ def node_hashes_cached(aig: "Aig") -> List[bytes]:
 
 
 def fingerprint_from_hashes(aig: "Aig", hashes: Sequence[bytes]) -> str:
-    """The :meth:`Aig.fingerprint` digest, from precomputed node hashes.
-
-    Lets callers that already hold :func:`node_hashes` output (the
-    incremental evaluator hashes every candidate exactly once) derive the
-    PO-level fingerprint without rehashing the graph.
-    """
+    """The :meth:`Aig.fingerprint` digest, from precomputed node hashes."""
     top = hashlib.blake2b(digest_size=_DIGEST_SIZE)
     top.update(b"aig:%d:%d" % (aig.num_pis, aig.num_pos))
     for lit in aig.po_literals():
         top.update(hashes[literal_var(lit)])
         top.update(b"1" if is_complemented(lit) else b"0")
     return top.hexdigest()
-
-
-@dataclass(frozen=True)
-class StructuralDiff:
-    """Correspondence between a parent and a child graph.
-
-    Attributes
-    ----------
-    touched:
-        Child variable ids that are not structurally present in the parent
-        or whose fanout count differs from their parent counterpart.  This
-        is the seed set of the dirty cone.
-    matched:
-        child var -> parent var for every structurally matched variable.
-    order_preserved:
-        True when matched parent ids are strictly increasing in child
-        creation order.  Cut enumeration and mapping tie-breaks compare
-        variable ids, so per-node state may only be reused across graphs
-        when the relative order of matched nodes is preserved (rebuild-style
-        transforms copy surviving logic in topological order, so this holds
-        in practice; when it does not, callers must fall back to a full
-        recompute).
-    """
-
-    touched: FrozenSet[int]
-    matched: Dict[int, int]
-    order_preserved: bool
-
-    @property
-    def num_matched(self) -> int:
-        """Number of structurally matched variables."""
-        return len(self.matched)
-
-
-def structural_diff(
-    parent: "Aig",
-    child: "Aig",
-    parent_hashes: Optional[Sequence[bytes]] = None,
-    child_hashes: Optional[Sequence[bytes]] = None,
-    parent_fanout: Optional[Sequence[int]] = None,
-    child_fanout: Optional[Sequence[int]] = None,
-) -> StructuralDiff:
-    """Diff *child* against *parent* by structural node hashes.
-
-    Pre-computed hashes/fanout-count arrays may be passed to avoid
-    recomputation (the incremental evaluator caches them per graph).
-    """
-    if parent_hashes is None:
-        parent_hashes = node_hashes_cached(parent)
-    if child_hashes is None:
-        child_hashes = node_hashes_cached(child)
-    if parent_fanout is None:
-        parent_fanout = parent.fanout_counts()
-    if child_fanout is None:
-        child_fanout = child.fanout_counts()
-
-    parent_var_of: Dict[bytes, int] = {}
-    for var in range(parent.size):
-        # Structural hashing makes duplicate hashes impossible in a strashed
-        # graph; keep the first occurrence if an unstrashed reader produced
-        # duplicates (later copies simply count as unmatched).
-        parent_var_of.setdefault(parent_hashes[var], var)
-
-    touched: Set[int] = set()
-    matched: Dict[int, int] = {}
-    seen_parent: Set[int] = set()
-    order_preserved = True
-    last_parent = -1
-    for var in range(child.size):
-        parent_var = parent_var_of.get(child_hashes[var])
-        if parent_var is None or parent_var in seen_parent:
-            touched.add(var)
-            continue
-        matched[var] = parent_var
-        seen_parent.add(parent_var)
-        if parent_var <= last_parent:
-            order_preserved = False
-        last_parent = parent_var
-        if child_fanout[var] != parent_fanout[parent_var]:
-            touched.add(var)
-    return StructuralDiff(
-        touched=frozenset(touched), matched=matched, order_preserved=order_preserved
-    )
-
-
-# --------------------------------------------------------------------------- #
-# The journal
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class JournalEntry:
-    """One recorded transform application.
-
-    ``touched`` holds variable ids *in the graph this journal belongs to*
-    (the transform's output graph) that were created or perturbed by the
-    transform; ``parent_key`` is the :meth:`Aig.exact_key` of the graph the
-    transform was applied to, so an incremental evaluator can look up its
-    cached state for that exact baseline.
-    """
-
-    transform: str
-    touched: FrozenSet[int]
-    parent_key: Optional[str] = None
-    po_indices: FrozenSet[int] = frozenset()
-
-
-class MutationJournal:
-    """Records touched node ids per transform on one :class:`Aig`.
-
-    The journal is disabled by default (zero bookkeeping on the hot
-    construction path beyond a boolean check).  When enabled, in-place graph
-    edits (:meth:`Aig.add_pi`, :meth:`Aig.add_and` when a new node is
-    created, :meth:`Aig.add_po`, :meth:`Aig.set_po_literal`) are recorded
-    into the *open* entry; rebuild-style transforms record one entry per
-    application via :meth:`note_transform`.
-
-    Nested ``begin()``/``commit()`` scopes merge the inner scope's touched
-    set into the enclosing scope on commit, so a composite transform that
-    internally applies primitives reports one consolidated entry while the
-    primitives still see consistent bookkeeping.  :meth:`clear` drops all
-    entries and any open scopes — sessions call it (via fresh graphs) so no
-    state leaks across calls.
-    """
-
-    def __init__(self, enabled: bool = False) -> None:
-        self.enabled = enabled
-        self.entries: List[JournalEntry] = []
-        self._open: List[Tuple[str, Set[int], Set[int]]] = []
-
-    # ------------------------------------------------------------------ #
-    def enable(self) -> None:
-        """Turn recording on."""
-        self.enabled = True
-
-    def disable(self) -> None:
-        """Turn recording off (existing entries are kept)."""
-        self.enabled = False
-
-    def clear(self) -> None:
-        """Drop all entries and abandon any open scopes."""
-        self.entries.clear()
-        self._open.clear()
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    # ------------------------------------------------------------------ #
-    # Scoped recording of in-place edits
-    # ------------------------------------------------------------------ #
-    def begin(self, transform: str) -> None:
-        """Open a (possibly nested) recording scope for *transform*."""
-        if not self.enabled:
-            return
-        self._open.append((transform, set(), set()))
-
-    def commit(self, parent_key: Optional[str] = None) -> Optional[JournalEntry]:
-        """Close the innermost scope.
-
-        A nested scope folds its touched set into the enclosing scope; the
-        outermost scope becomes a :class:`JournalEntry`.
-        """
-        if not self.enabled:
-            return None
-        if not self._open:
-            raise AigError("journal commit without a matching begin")
-        transform, touched, po_indices = self._open.pop()
-        if self._open:
-            self._open[-1][1].update(touched)
-            self._open[-1][2].update(po_indices)
-            return None
-        entry = JournalEntry(
-            transform=transform,
-            touched=frozenset(touched),
-            parent_key=parent_key,
-            po_indices=frozenset(po_indices),
-        )
-        self.entries.append(entry)
-        return entry
-
-    def abort(self) -> None:
-        """Discard the innermost open scope without recording anything."""
-        if self._open:
-            self._open.pop()
-
-    @property
-    def depth(self) -> int:
-        """Number of currently open (nested) scopes."""
-        return len(self._open)
-
-    # ------------------------------------------------------------------ #
-    # Event hooks called by Aig mutators
-    # ------------------------------------------------------------------ #
-    def note_var(self, var: int) -> None:
-        """Record that variable *var* was created or structurally edited."""
-        if not self.enabled:
-            return
-        if self._open:
-            self._open[-1][1].add(var)
-        else:
-            # Edits outside any scope form an implicit open entry that the
-            # next note_transform/commit-less read folds in.
-            self._open.append(("<unscoped>", {var}, set()))
-
-    def note_po(self, index: int, driver_var: int) -> None:
-        """Record that primary output *index* was (re)connected."""
-        if not self.enabled:
-            return
-        if not self._open:
-            self._open.append(("<unscoped>", set(), set()))
-        self._open[-1][1].add(driver_var)
-        self._open[-1][2].add(index)
-
-    def note_transform(
-        self,
-        transform: str,
-        touched: Set[int],
-        parent_key: Optional[str] = None,
-    ) -> Optional[JournalEntry]:
-        """Record one rebuild-style transform application as a single entry."""
-        if not self.enabled:
-            return None
-        entry = JournalEntry(
-            transform=transform,
-            touched=frozenset(touched),
-            parent_key=parent_key,
-        )
-        self.entries.append(entry)
-        return entry
-
-    # ------------------------------------------------------------------ #
-    def touched_union(self) -> FrozenSet[int]:
-        """Union of touched ids over all committed entries and open scopes."""
-        union: Set[int] = set()
-        for entry in self.entries:
-            union.update(entry.touched)
-        for _, touched, _ in self._open:
-            union.update(touched)
-        return frozenset(union)
-
-    def last_entry(self) -> Optional[JournalEntry]:
-        """The most recently committed entry, if any."""
-        return self.entries[-1] if self.entries else None
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "on" if self.enabled else "off"
-        return f"MutationJournal({state}, entries={len(self.entries)}, open={self.depth})"
-
-
-def dirty_cone(aig: "Aig", touched: Sequence[int]) -> Set[int]:
-    """Transitive fanout of *touched* (touched nodes included).
-
-    This is the set of nodes whose mapping choice or arrival time may have
-    changed when only *touched* nodes were perturbed; everything outside it
-    can reuse previously computed per-node state.
-    """
-    from repro.aig.analysis import transitive_fanout
-
-    return transitive_fanout(aig, touched, include_roots=True)

@@ -5,11 +5,10 @@ This package is the single stable surface clients should program against:
 * :class:`SynthesisSession` — façade owning library, evaluator, and models;
 * :class:`OptimizeRequest` / :class:`OptimizeResult` / :class:`EvalRequest`
   / :class:`TrainResult` — typed request/response dataclasses;
-* :class:`~repro.evaluation.Evaluator` protocol with four implementations:
+* :class:`~repro.evaluation.Evaluator` protocol with three implementations:
   :class:`~repro.evaluation.GroundTruthEvaluator` (mapping + STA),
-  :class:`CachedEvaluator` (fingerprint-memoised),
-  :class:`ParallelEvaluator` (process-pool batches), and
-  :class:`IncrementalEvaluator` (dirty-cone re-mapping + incremental STA);
+  :class:`CachedEvaluator` (exact-key memoised), and
+  :class:`ParallelEvaluator` (process-pool batches);
 * flow/evaluator/model registries for plugging in new strategies.
 """
 
@@ -21,7 +20,6 @@ from repro.api.evaluators import (
     ParallelEvaluator,
     evaluator_context_key,
 )
-from repro.api.incremental import IncrementalEvaluator, IncrementalStats
 from repro.api.registry import (
     ModelRegistry,
     available_evaluators,
@@ -51,8 +49,6 @@ __all__ = [
     "EvalRequest",
     "Evaluator",
     "GroundTruthEvaluator",
-    "IncrementalEvaluator",
-    "IncrementalStats",
     "ModelRegistry",
     "OptimizeRequest",
     "OptimizeResult",

@@ -5,10 +5,11 @@ The flow registry maps stable public names ("baseline", "ground-truth",
 :class:`~repro.opt.flows.OptimizationFlow` with an injected evaluator, so
 new flows can be plugged in without touching the session or the CLI.  The
 evaluator registry does the same for PPA evaluation strategies
-("ground-truth", "cached", "parallel", "incremental"), which is what
-``SynthesisSession(evaluator_kind=...)`` and the CLI's ``--evaluator`` flag
-resolve through.  The model registry lets sessions refer to trained
-predictors by name or by the JSON path produced by ``repro train``.
+("ground-truth", "cached", "parallel", and "incremental", an alias of
+"cached"), which is what ``SynthesisSession(evaluator_kind=...)`` and the
+CLI's ``--evaluator`` flag resolve through.  The model registry lets
+sessions refer to trained predictors by name or by the JSON path produced
+by ``repro train``.
 """
 
 from __future__ import annotations
@@ -130,9 +131,8 @@ def register_evaluator(
     """Register an evaluator *factory* under *name* ("-"/"_" interchangeable).
 
     Factories are called with keyword arguments ``library``,
-    ``mapping_options``, ``cache_entries``, ``parallel_workers``, and
-    ``max_dirty_fraction``; each factory picks the ones it needs and must
-    ignore the rest.
+    ``mapping_options``, ``cache_entries`` and ``parallel_workers``; each
+    factory picks the ones it needs and must ignore the rest.
     """
     key = _canonical(name)
     if not overwrite and key in _EVALUATOR_FACTORIES:
@@ -183,24 +183,12 @@ def _make_parallel_evaluator(
     return ParallelEvaluator(library, mapping_options, max_workers=parallel_workers)
 
 
-def _make_incremental_evaluator(
-    library=None,
-    mapping_options=None,
-    max_dirty_fraction: Optional[float] = None,
-    **_: Any,
-) -> Evaluator:
-    from repro.api.incremental import IncrementalEvaluator
-
-    kwargs: Dict[str, Any] = {}
-    if max_dirty_fraction is not None:
-        kwargs["max_dirty_fraction"] = max_dirty_fraction
-    return IncrementalEvaluator(library, mapping_options, **kwargs)
-
-
 register_evaluator("ground_truth", _make_ground_truth_evaluator)
 register_evaluator("cached", _make_cached_evaluator)
 register_evaluator("parallel", _make_parallel_evaluator)
-register_evaluator("incremental", _make_incremental_evaluator)
+# Kept as an alias of "cached" so campaign specs, cell ids and stores that
+# name it stay valid.
+register_evaluator("incremental", _make_cached_evaluator)
 
 
 class ModelRegistry:

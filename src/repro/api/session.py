@@ -185,8 +185,7 @@ class SynthesisSession:
     evaluator_kind:
         Name of a registered evaluator strategy ("ground-truth", "cached",
         "parallel", "incremental"); resolved through the evaluator registry
-        and used as-is.  ``"incremental"`` re-maps/re-times only the dirty
-        cone of each candidate relative to recently evaluated baselines.
+        and used as-is.  ``"incremental"`` is an alias of ``"cached"``.
     evaluator:
         Fully custom evaluator; overrides all of the above wiring.
     """
@@ -250,9 +249,7 @@ class SynthesisSession:
     def evaluator_stats(self) -> Optional[Any]:
         """Whatever work counters the evaluator exposes (``stats``), if any.
 
-        :class:`CachedEvaluator` reports hit/miss counts,
-        :class:`~repro.api.incremental.IncrementalEvaluator` reports
-        full/incremental/hit splits and node-visit counters.
+        :class:`CachedEvaluator` reports hit/miss counts.
         """
         return getattr(self._evaluator, "stats", None)
 
@@ -328,13 +325,6 @@ class SynthesisSession:
         elif kwargs:
             request = replace(request, **kwargs)
         aig = self.load_design(request.design)
-        if self._wants_journal() and not aig.journal.enabled:
-            # Work on a journaling clone: transforms then record touched
-            # nodes + parent fingerprints that the incremental evaluator
-            # uses to locate its baseline state, while the caller's graph
-            # stays untouched and nothing carries over to the next call.
-            aig = aig.clone()
-            aig.journal.enable()
         flow = create_flow(
             request.flow,
             evaluator=self._evaluator,
@@ -475,11 +465,6 @@ class SynthesisSession:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _wants_journal(self) -> bool:
-        from repro.api.incremental import IncrementalEvaluator
-
-        return isinstance(self._evaluator, IncrementalEvaluator)
-
     def _netlist_eval(self) -> GroundTruthEvaluator:
         if self._netlist_evaluator is None:
             self._netlist_evaluator = GroundTruthEvaluator(
@@ -506,11 +491,11 @@ class SessionPool:
     """Process-local pool of persistent sessions, one per configuration.
 
     The campaign engine's pool workers used to build a fresh evaluator for
-    every cell, throwing away the warmed cell-library index, mapper, PPA
-    cache, and incremental-mapper state each time.  A :class:`SessionPool`
-    keys one long-lived :class:`SynthesisSession` by (evaluation-context
-    fingerprint, evaluator kind), so consecutive cells of the same design
-    running in the same worker share all of that state.  Keys with
+    every cell, throwing away the warmed cell-library index, mapper, and PPA
+    cache each time.  A :class:`SessionPool` keys one long-lived
+    :class:`SynthesisSession` by (evaluation-context fingerprint, evaluator
+    kind), so consecutive cells of the same design running in the same
+    worker share all of that state.  Keys with
     different library/options fingerprints never share a session, which is
     what keeps pooled results independent of which cells happened to land
     on which worker.

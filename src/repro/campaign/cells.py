@@ -12,11 +12,10 @@ in any worker, at any worker count, in any scheduling order.
 Cells are *logically* self-contained but share heavyweight state through
 this process's persistent :class:`~repro.api.session.SessionPool`, keyed by
 (evaluation-context fingerprint, evaluator kind): the cell library index,
-technology mapper, PPA cache, and incremental-mapper state stay warm across
-consecutive cells of the same design in the same worker.  Sharing is sound
-because every evaluator keys its state on the exact graph plus the
-library/options identity — a pooled evaluator returns the same numbers a
-fresh one would, just faster.
+technology mapper, and PPA cache stay warm across consecutive cells of the
+same design in the same worker.  Sharing is sound because every evaluator
+keys its state on the exact graph plus the library/options identity — a
+pooled evaluator returns the same numbers a fresh one would, just faster.
 
 Nested-pool guard: when the cell asks for the ``"parallel"`` evaluator but
 is already executing inside the engine's process pool

@@ -44,7 +44,7 @@ DEFAULT_EVALUATOR_WEIGHTS: Dict[str, float] = {
     "ground_truth": 1.0,
     "cached": 0.8,
     "parallel": 1.0,
-    "incremental": 0.6,
+    "incremental": 0.8,
 }
 
 _DEFAULT_DESIGN_SIZE = 250.0

@@ -8,20 +8,17 @@ previous run had already computed.  This module persists the two kinds of
 cheap-but-valuable state next to the store so a resume starts warm:
 
 * **Cache snapshots** (``warmstart/`` sidecar directory).  The exact-key
-  result caches of the pooled sessions — :class:`~repro.api.evaluators.
-  CachedEvaluator`'s memo table and :class:`~repro.api.incremental.
-  IncrementalEvaluator`'s lightweight result cache — are appended as JSONL
-  entries keyed by ``(context, exact_key)``.  The *context* string is the
+  result caches of the pooled sessions (:class:`~repro.api.evaluators.
+  CachedEvaluator`'s memo tables) are appended as JSONL entries keyed by
+  ``(context, exact_key)``.  The *context* string is the
   :func:`~repro.api.evaluators.evaluator_context_key` of the producing
   evaluator (library content fingerprint + mapping options), so a snapshot
   written under one library/option configuration can never seed a session
   evaluating under another: a changed library changes the fingerprint and
   every stale entry simply stops matching.  Entries are payload-free
-  (delay/area/gate count only) — heavy incremental baselines
-  (netlists, timing states) are deliberately **not** persisted: they are
-  large, graph-representation-bound, and rebuilt after one evaluation,
-  while the exact-key results are what turn a resumed optimizer's revisits
-  into cache hits instead of ground-truth evaluations.
+  (delay/area/gate count only): the exact-key results are what turn a
+  resumed optimizer's revisits into cache hits instead of ground-truth
+  evaluations.
 * **Cost calibration** (``costs.json`` sidecar).  Observed per-iteration
   cell runtimes, summed per ``(design, flow, optimizer, evaluator)``
   group.  :meth:`~repro.campaign.schedule.CostScheduler.set_calibration`
@@ -181,16 +178,11 @@ def _entry_result(entry: Mapping[str, Any]) -> PpaResult:
 
 def _session_cache_items(session: Any) -> Iterator[Tuple[str, str, PpaResult]]:
     """(context, exact_key, result) triples of one session's result caches."""
-    from repro.api.evaluators import CachedEvaluator, evaluator_context_key
-    from repro.api.incremental import IncrementalEvaluator
+    from repro.api.evaluators import CachedEvaluator
 
     evaluator = session.evaluator
     if isinstance(evaluator, CachedEvaluator):
         for (context, exact_key), result in evaluator.snapshot_items():
-            yield context, exact_key, result
-    elif isinstance(evaluator, IncrementalEvaluator):
-        context = evaluator_context_key(evaluator)
-        for exact_key, result in evaluator.snapshot_items():
             yield context, exact_key, result
 
 
@@ -205,7 +197,6 @@ def seed_session(session: Any, directory: Union[str, Path]) -> int:
     number of entries seeded.
     """
     from repro.api.evaluators import CachedEvaluator, evaluator_context_key
-    from repro.api.incremental import IncrementalEvaluator
 
     resolved = str(Path(directory).resolve())
     seeded_dirs = getattr(session, "_warmstart_seeded", None)
@@ -232,13 +223,6 @@ def seed_session(session: Any, directory: Union[str, Path]) -> int:
             if ctx != context:
                 continue
             if evaluator.seed_result(ctx, exact_key, _entry_result(entry)):
-                count += 1
-    elif isinstance(evaluator, IncrementalEvaluator):
-        context = evaluator_context_key(evaluator)
-        for (ctx, exact_key), entry in entries.items():
-            if ctx != context:
-                continue
-            if evaluator.seed_result(exact_key, _entry_result(entry)):
                 count += 1
     return count
 
@@ -301,19 +285,14 @@ def save_snapshot(
 def ground_truth_evaluations(pool: Any) -> int:
     """Real (non-cache-served) evaluations performed by *pool*'s sessions.
 
-    For cached sessions these are cache misses; for incremental sessions,
-    full plus incremental maps (structural hits served no mapping work).
-    The cold-vs-warm resume benchmark compares this across resumes.
+    These are the cache misses of the cached sessions.  The cold-vs-warm
+    resume benchmark compares this across resumes.
     """
     total = 0
     for session in pool.sessions():
-        stats = session.evaluator_stats
-        if stats is None:
-            continue
-        if hasattr(stats, "misses"):
+        stats = session.cache_stats
+        if stats is not None:
             total += stats.misses
-        elif hasattr(stats, "full_maps"):
-            total += stats.full_maps + stats.incremental_maps
     return total
 
 

@@ -253,15 +253,6 @@ def _cmd_flow(args: argparse.Namespace) -> int:
             f"mean %err {summary.mean_delay_error_percent:.2f}, "
             f"correction {summary.final_correction:.3f}"
         )
-    if args.evaluator == "incremental":
-        stats = session.evaluator_stats
-        if stats is not None:
-            print(
-                f"incremental eval   : {stats.incremental_maps} incremental / "
-                f"{stats.full_maps} full / {stats.structural_hits} hits, "
-                f"node visits {stats.dp_nodes_evaluated}/{stats.dp_nodes_possible} "
-                f"({stats.dp_visit_reduction:.2f}x reduction)"
-            )
     if args.output:
         write_aag(result.best_aig, args.output)
         print(f"wrote optimized AIG to {args.output}")
@@ -550,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("ground-truth", "cached", "parallel", "incremental"),
         default=None,
         help="PPA evaluation strategy (default: the shared cached evaluator); "
-        "'incremental' re-maps and re-times only the dirty cone per candidate",
+        "'incremental' is an alias of 'cached'",
     )
     flow.add_argument("--iterations", type=int, default=30)
     flow.add_argument("--delay-weight", type=float, default=1.0)

@@ -93,126 +93,6 @@ class Fig2Result:
         )
 
 
-@dataclass
-class IncrementalRuntimeRow:
-    """Evaluation-work comparison of one SA run with the incremental engine.
-
-    ``dp_nodes_possible`` counts the match-DP node visits a from-scratch
-    evaluator would have performed on the same evaluation sequence;
-    ``dp_nodes_evaluated`` counts what the incremental evaluator actually
-    performed (structural revisits cost zero, incrementally re-mapped
-    candidates cost only their dirty cone).
-    """
-
-    design: str
-    num_ands: int
-    iterations: int
-    evaluations: int
-    structural_hits: int
-    incremental_maps: int
-    full_maps: int
-    dp_nodes_evaluated: int
-    dp_nodes_possible: int
-    evaluation_seconds: float
-
-    @property
-    def visit_reduction(self) -> float:
-        """From-scratch node visits divided by actual node visits (>= 1)."""
-        if self.dp_nodes_evaluated == 0:
-            return float("inf") if self.dp_nodes_possible else 1.0
-        return self.dp_nodes_possible / self.dp_nodes_evaluated
-
-
-@dataclass
-class Fig2IncrementalResult:
-    """Incremental-evaluation comparison rows (fig. 2 companion)."""
-
-    rows: List[IncrementalRuntimeRow]
-
-    def format_table(self) -> str:
-        rows = [
-            (
-                f"{row.design} ({row.num_ands})",
-                row.iterations,
-                f"{row.structural_hits}/{row.incremental_maps}/{row.full_maps}",
-                row.dp_nodes_evaluated,
-                row.dp_nodes_possible,
-                f"{row.visit_reduction:.2f}x",
-                row.evaluation_seconds,
-            )
-            for row in sorted(self.rows, key=lambda r: r.num_ands)
-        ]
-        return format_table(
-            [
-                "design (#nodes)",
-                "SA iters",
-                "hit/inc/full",
-                "visits actual",
-                "visits from-scratch",
-                "reduction",
-                "eval s",
-            ],
-            rows,
-            title=(
-                "Fig. 2 companion — SA evaluation work, incremental vs "
-                "from-scratch mapping+STA"
-            ),
-            float_format="{:.2f}",
-        )
-
-
-def run_fig2_incremental(
-    config: Optional[ExperimentConfig] = None,
-    designs: Optional[Sequence[str]] = None,
-    iterations: Optional[int] = None,
-    max_dirty_fraction: float = 0.9,
-) -> Fig2IncrementalResult:
-    """Run SA with the incremental evaluator and report evaluation work.
-
-    Defaults to the largest registered design (where from-scratch
-    evaluation hurts most) and to enough SA iterations for the search to
-    reach its converged regime, which is where the paper's optimization
-    loops spend most of their time and where structure revisits and small
-    dirty cones dominate.
-    """
-    from repro.api.incremental import IncrementalEvaluator
-    from repro.opt.flows import GroundTruthFlow
-
-    cfg = config or ExperimentConfig()
-    if designs is None:
-        built = {name: build_design(name) for name in cfg.all_designs()}
-        names = [max(built, key=lambda n: built[n].num_ands)]
-    else:
-        built = {name: build_design(name) for name in designs}
-        names = list(designs)
-    sa_iterations = iterations if iterations is not None else 120
-
-    rows: List[IncrementalRuntimeRow] = []
-    for name in names:
-        aig = built[name]
-        aig.journal.enable()
-        evaluator = IncrementalEvaluator(max_dirty_fraction=max_dirty_fraction)
-        flow = GroundTruthFlow(evaluator=evaluator)
-        run_config = AnnealingConfig(iterations=sa_iterations, keep_history=False)
-        result = flow.run(aig, config=run_config, rng=cfg.seed)
-        stats = evaluator.stats
-        rows.append(
-            IncrementalRuntimeRow(
-                design=name,
-                num_ands=aig.num_ands,
-                iterations=sa_iterations,
-                evaluations=stats.evaluations,
-                structural_hits=stats.structural_hits,
-                incremental_maps=stats.incremental_maps,
-                full_maps=stats.full_maps,
-                dp_nodes_evaluated=stats.dp_nodes_evaluated,
-                dp_nodes_possible=stats.dp_nodes_possible,
-                evaluation_seconds=result.annealing.stage_timer.total("evaluation"),
-            )
-        )
-    return Fig2IncrementalResult(rows=rows)
-
-
 def run_fig2_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Time baseline vs ground-truth iterations on one design.
 

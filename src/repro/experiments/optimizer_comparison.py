@@ -185,7 +185,7 @@ def run_optimizer_comparison(
 
     The evaluation budget of every algorithm is derived from
     ``config.sa_iterations`` so the comparison is evaluation-count fair.
-    An injected *evaluator* (cached/parallel/incremental) serves every
+    An injected *evaluator* (cached or parallel) serves every
     ground-truth check, so repeated and structurally overlapping best-AIG
     evaluations share one state pool; injecting one forces serial execution
     (a process pool would silently fork that shared state).

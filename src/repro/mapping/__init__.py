@@ -8,11 +8,6 @@ from repro.mapping.mapper import (
     TechnologyMapper,
     map_aig,
 )
-from repro.mapping.incremental import (
-    IncrementalMapper,
-    IncrementalMapStats,
-    MappingState,
-)
 from repro.mapping.matcher import classify_single_input, reduce_to_support
 from repro.mapping.netlist import MappedGate, MappedNetlist
 from repro.mapping.postopt import PostMappingOptimizer, PostOptOptions, PostOptReport
@@ -21,14 +16,11 @@ __all__ = [
     "AliasChoice",
     "CellChoice",
     "ConstantChoice",
-    "IncrementalMapStats",
-    "IncrementalMapper",
     "MappedGate",
     "MappedNetlist",
     "MappingOptions",
     "PostMappingOptimizer",
     "PostOptOptions",
-    "MappingState",
     "PostOptReport",
     "TechnologyMapper",
     "classify_single_input",

@@ -32,14 +32,10 @@ single-input aliases, nodes with no matchable cut — fall back per node to
 the scalar :meth:`TechnologyMapper._choose_for_node`, which stays the
 reference implementation.  ``tests/test_dp_arrays.py`` asserts bit-equal
 choices, arrivals, and netlists against the scalar path.
-
-Env toggle ``REPRO_MAP_DP``: ``"scalar"`` forces the scalar DP,
-``"vector"`` or empty uses the array path when supported.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -380,11 +376,6 @@ def _node_cuts_from_arrays(ca: CutArrays, var: int) -> List[Cut]:
     ]
 
 
-def dp_mode() -> str:
-    """The requested DP implementation: '', 'scalar', or 'vector'."""
-    return os.environ.get("REPRO_MAP_DP", "").strip().lower()
-
-
 def try_full_dp(mapper, aig: Aig) -> Optional[DpResult]:
     """Run the full mapping DP with array batching, or ``None`` if the
     configuration is unsupported (caller falls back to the scalar loop).
@@ -392,9 +383,6 @@ def try_full_dp(mapper, aig: Aig) -> Optional[DpResult]:
     The result is bit-identical to :meth:`TechnologyMapper._select_choices`:
     same choices (same Match objects), same arrival and area-flow floats.
     """
-    mode = dp_mode()
-    if mode == "scalar":
-        return None
     opts = mapper.options
     k = mapper.cut_size
     if not cut_arrays_supported(aig, k):

@@ -77,40 +77,6 @@ class MappingOptions:
             raise MappingError("cut_size must be at least 2")
 
 
-class NetPolicy:
-    """Net-id assignment strategy used by :meth:`TechnologyMapper._emit_netlist`.
-
-    Methods return a preassigned net id for the net about to be created, or
-    ``None`` to let the netlist allocate the next fresh id.
-    """
-
-    def cell_output(self, var: int) -> Optional[int]:  # pragma: no cover - interface
-        """Output net of the cell implementing AND node *var*."""
-        return None
-
-    def output_inverter(self, var: int) -> Optional[int]:  # pragma: no cover
-        """Output net of the inverter completing a negated-output match."""
-        return None
-
-    def negation_inverter(self, var: int) -> Optional[int]:  # pragma: no cover
-        """Output net of the shared inverter producing ``!var``."""
-        return None
-
-    def constant(self, value: int) -> int:  # pragma: no cover - interface
-        """Net tied to constant *value* (must register it with the netlist)."""
-        raise NotImplementedError
-
-
-class FreshNetPolicy(NetPolicy):
-    """Allocate every created net freshly in emission order (the default)."""
-
-    def __init__(self, netlist: MappedNetlist) -> None:
-        self._netlist = netlist
-
-    def constant(self, value: int) -> int:
-        return self._netlist.add_constant_net(value)
-
-
 class TechnologyMapper:
     """Maps AIGs onto a :class:`~repro.library.library.CellLibrary`."""
 
@@ -156,6 +122,8 @@ class TechnologyMapper:
     def _select_choices(
         self, aig: Aig
     ) -> Tuple[Dict[int, NodeChoice], List[Optional[float]]]:
+        # Looked up on the module at call time, so patching
+        # ``dp_arrays.try_full_dp`` to return None forces the scalar DP.
         from repro.mapping import dp_arrays
 
         result = dp_arrays.try_full_dp(self, aig)
@@ -163,7 +131,7 @@ class TechnologyMapper:
             self.last_dp_stats = result.stats
             return result.choices, result.arrival
         self.last_dp_stats = dp_arrays.DpStats(
-            used_vectorized=False, reason="unsupported or disabled"
+            used_vectorized=False, reason="unsupported"
         )
         cuts = self.enumerate_all_cuts(aig)
         fanout = aig.fanout_counts()
@@ -199,8 +167,9 @@ class TechnologyMapper:
     ) -> Tuple[NodeChoice, float, float]:
         """Best (choice, arrival, area-flow) for one AND node over its cuts.
 
-        Shared by the full DP and the incremental mapper's dirty-node
-        recomputation, so both always make identical decisions.
+        The scalar reference: the vectorized DP in
+        :mod:`repro.mapping.dp_arrays` falls back to it per node and must
+        make identical decisions.
         """
         opts = self.options
         best_key: Optional[Tuple[float, float]] = None
@@ -300,38 +269,20 @@ class TechnologyMapper:
     # Phase 2: netlist construction
     # ------------------------------------------------------------------ #
     def _build_netlist(self, aig: Aig, choices: Dict[int, NodeChoice]) -> MappedNetlist:
-        netlist = MappedNetlist(aig.name, aig.pi_names, aig.po_names)
-        return self._emit_netlist(aig, choices, netlist, FreshNetPolicy(netlist))
-
-    def _emit_netlist(
-        self,
-        aig: Aig,
-        choices: Dict[int, NodeChoice],
-        netlist: MappedNetlist,
-        nets: "NetPolicy",
-    ) -> MappedNetlist:
-        """Instantiate the chosen cells into *netlist*.
+        """Instantiate the chosen cells into a fresh netlist.
 
         The emission order is fully determined by *choices* (needed nodes in
-        variable order, shared inverters created at first demand), so two
-        emissions from identical choices produce identical gate lists.  The
-        *nets* policy controls net-id assignment: :class:`FreshNetPolicy`
-        allocates in emission order (the classic mapper behavior), while the
-        incremental mapper's persistent policy pins nodes to stable ids so
-        unchanged regions keep their nets across re-evaluations.
+        variable order, shared inverters created at first demand), and nets
+        are allocated in emission order, so two emissions from identical
+        choices produce identical netlists.
         """
+        netlist = MappedNetlist(aig.name, aig.pi_names, aig.po_names)
         net_of: Dict[int, int] = {}
         for var, net in zip(aig.pi_vars, netlist.pi_nets):
             net_of[var] = net
         inverted_net: Dict[int, int] = {}
 
         needed = self._collect_needed(aig, choices)
-
-        def add_gate(cell, inputs: List[int], preassigned: Optional[int]) -> int:
-            if preassigned is None:
-                return netlist.add_gate(cell, inputs)
-            netlist.ensure_net(preassigned)
-            return netlist.add_gate(cell, inputs, output=preassigned)
 
         def get_positive_net(var: int) -> int:
             if var not in net_of:
@@ -342,7 +293,7 @@ class TechnologyMapper:
             if var in inverted_net:
                 return inverted_net[var]
             source = get_positive_net(var)
-            out = add_gate(self._inv_cell, [source], nets.negation_inverter(var))
+            out = netlist.add_gate(self._inv_cell, [source])
             inverted_net[var] = out
             return out
 
@@ -352,7 +303,7 @@ class TechnologyMapper:
         for var in sorted(needed):
             choice = choices[var]
             if isinstance(choice, ConstantChoice):
-                net_of[var] = nets.constant(choice.value)
+                net_of[var] = netlist.add_constant_net(choice.value)
             elif isinstance(choice, AliasChoice):
                 net_of[var] = get_net(choice.leaf, choice.negated)
             else:
@@ -361,16 +312,16 @@ class TechnologyMapper:
                 for pin_index in range(match.cell.num_inputs):
                     leaf = choice.leaves[match.pin_to_leaf[pin_index]]
                     pin_nets.append(get_net(leaf, match.pin_negated[pin_index]))
-                out = add_gate(match.cell, pin_nets, nets.cell_output(var))
+                out = netlist.add_gate(match.cell, pin_nets)
                 if match.output_negated:
-                    out = add_gate(self._inv_cell, [out], nets.output_inverter(var))
+                    out = netlist.add_gate(self._inv_cell, [out])
                 net_of[var] = out
 
         for index, lit in enumerate(aig.po_literals()):
             var = literal_var(lit)
             negated = is_complemented(lit)
             if var == 0:
-                net = nets.constant(1 if negated else 0)
+                net = netlist.add_constant_net(1 if negated else 0)
             else:
                 net = get_net(var, negated)
             netlist.set_po_net(index, net)

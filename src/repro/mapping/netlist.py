@@ -52,18 +52,6 @@ class MappedNetlist:
         self._next_net += 1
         return net
 
-    def ensure_net(self, net: int) -> None:
-        """Register an externally allocated net id (incremental mapping).
-
-        The incremental mapper pins nodes to persistent net ids that can be
-        sparse and non-monotone in emission order; this bumps the allocation
-        watermark so such ids pass the usual definedness checks.
-        """
-        if net < 0:
-            raise MappingError(f"net id must be non-negative, got {net}")
-        if net >= self._next_net:
-            self._next_net = net + 1
-
     def add_constant_net(self, value: int) -> int:
         """Create (or reuse) a net tied to constant *value*."""
         if value not in (0, 1):

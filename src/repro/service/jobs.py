@@ -29,9 +29,12 @@ used by the durability tests and by accept-only front-end processes.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import os
 import queue
 import sys
+import tempfile
 import threading
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple
@@ -257,9 +260,21 @@ class JobManager:
         digest = hashlib.sha256(data).hexdigest()[:16]
         path = self.uploads_dir / f"{digest}{suffix}"
         if not path.exists():
-            tmp = path.with_name(path.name + ".tmp")
-            tmp.write_bytes(data)
-            tmp.replace(path)  # atomic: concurrent identical uploads converge
+            # Each writer renames its own temp file: concurrent identical
+            # uploads may all pass the exists() check, and the content is
+            # addressed by its hash, so whichever rename lands last leaves
+            # the same bytes.
+            fd, tmp = tempfile.mkstemp(
+                prefix=f".{path.name}.", suffix=".tmp", dir=self.uploads_dir
+            )
+            try:
+                with os.fdopen(fd, "wb") as handle:
+                    handle.write(data)
+                os.replace(tmp, path)
+            except BaseException:
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp)
+                raise
         return path
 
     @staticmethod

@@ -3,10 +3,7 @@
 from repro.sta.analysis import (
     TimingArc,
     TimingReport,
-    TimingState,
-    TimingUpdateStats,
     analyze_timing,
-    analyze_timing_incremental,
     compute_net_loads,
 )
 from repro.sta.report import format_cell_usage, format_timing_report
@@ -14,10 +11,7 @@ from repro.sta.report import format_cell_usage, format_timing_report
 __all__ = [
     "TimingArc",
     "TimingReport",
-    "TimingState",
-    "TimingUpdateStats",
     "analyze_timing",
-    "analyze_timing_incremental",
     "compute_net_loads",
     "format_cell_usage",
     "format_timing_report",

@@ -90,7 +90,6 @@ class _ArcTables:
         "arc_in",
         "arc_out",
         "arc_delay",
-        "gate_level",
         "gate_arc_range",
         "level_groups",
         "driver_of_net",
@@ -116,7 +115,7 @@ class _ArcTables:
             net_level[net] = 0
         for net in netlist.constant_nets:
             net_level[net] = 0
-        self.gate_level: List[int] = []
+        gate_level: List[int] = []
         self.driver_of_net: Dict[int, int] = {}
         for gate_index, gate in enumerate(gates):
             cell = gate.cell
@@ -145,7 +144,7 @@ class _ArcTables:
                 arc_res.append(res)
             self.gate_arc_range.append((start, len(arc_in)))
             net_level[gate.output] = level + 1
-            self.gate_level.append(level + 1)
+            gate_level.append(level + 1)
             self.driver_of_net[gate.output] = gate_index
         self.arc_in = np.asarray(arc_in, dtype=np.int64)
         self.arc_out = np.asarray(arc_out, dtype=np.int64)
@@ -158,7 +157,7 @@ class _ArcTables:
         self.level_groups: List[np.ndarray] = []
         if gates:
             arc_level = np.repeat(
-                np.asarray(self.gate_level, dtype=np.int64),
+                np.asarray(gate_level, dtype=np.int64),
                 [end - start for start, end in self.gate_arc_range],
             )
             order = np.argsort(arc_level, kind="stable")
@@ -289,391 +288,3 @@ def _walk_critical_path(
         net = input_net
     path.reverse()
     return path
-
-
-# --------------------------------------------------------------------------- #
-# Incremental STA
-# --------------------------------------------------------------------------- #
-
-# Cell identity codes for the array-form gate-record comparison.  The scalar
-# predicate compared ``a.cell is b.cell`` (cells are shared library
-# singletons); interning each distinct cell object to a small integer makes
-# that an array equality.  The keepalive list pins every coded cell so an
-# ``id`` is never recycled for a different object; codes never reach any
-# output, so their assignment order cannot affect reproducibility.
-_CELL_CODES: Dict[int, int] = {}
-_CELL_KEEPALIVE: List[object] = []
-
-
-def _cell_code(cell: object) -> int:
-    code = _CELL_CODES.get(id(cell))
-    if code is None:
-        code = len(_CELL_KEEPALIVE)
-        _CELL_CODES[id(cell)] = code
-        _CELL_KEEPALIVE.append(cell)
-    return code
-
-
-def _pad1(arr: np.ndarray, length: int, fill) -> np.ndarray:
-    """*arr* resized to *length* (truncate or pad with *fill*)."""
-    if len(arr) == length:
-        return arr
-    if len(arr) > length:
-        return arr[:length]
-    out = np.full(length, fill, dtype=arr.dtype)
-    out[: len(arr)] = arr
-    return out
-
-
-def _pad2(arr: np.ndarray, length: int, width: int, fill) -> np.ndarray:
-    """2-D variant of :func:`_pad1` (rows to *length*, columns to *width*)."""
-    if arr.shape == (length, width):
-        return arr
-    out = np.full((length, width), fill, dtype=arr.dtype)
-    rows = min(len(arr), length)
-    cols = min(arr.shape[1], width)
-    out[:rows, :cols] = arr[:rows, :cols]
-    return out
-
-
-def _segment_arange(counts: np.ndarray, total: int) -> np.ndarray:
-    """``concatenate([arange(c) for c in counts])`` without a Python loop."""
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    starts = np.cumsum(counts) - counts
-    return np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
-
-
-@dataclass
-class TimingState:
-    """Carry-over state of one STA run, as net-indexed arrays.
-
-    Produced and consumed by :func:`analyze_timing_incremental`.  Every
-    per-net map is a dense array indexed by (persistent) net id — NaN marks
-    a net the producing run did not know (``gate_cell_code`` uses -1) — so
-    the next run's reuse predicate is a handful of vectorized comparisons
-    instead of per-gate dictionary probes.  The state is only meaningful
-    when the next netlist keeps stable net ids for its unchanged region,
-    which is what the incremental mapper's persistent net policy guarantees.
-    """
-
-    num_nets: int
-    loads: np.ndarray  #: (num_nets,) float64
-    arrival: np.ndarray  #: (num_nets,) float64, NaN = unknown net
-    required_raw: np.ndarray  #: (num_nets,) float64; inf = unconstrained, NaN = unknown
-    period: float
-    po_nets: np.ndarray  #: sorted distinct connected PO nets
-    consumer_count: np.ndarray  #: (num_nets,) int64 distinct consumer gates
-    gate_cell_code: np.ndarray  #: (num_nets,) int64 by output net, -1 = no gate
-    gate_inputs: np.ndarray  #: (num_nets, width) int64 input nets, -1 pad
-
-
-@dataclass
-class TimingUpdateStats:
-    """How much work one incremental STA update actually performed."""
-
-    total_gates: int = 0
-    arrival_recomputed: int = 0
-    required_recomputed: int = 0
-    required_full: bool = False
-
-
-def analyze_timing_incremental(
-    netlist: MappedNetlist,
-    po_load_ff: float = 5.0,
-    clock_period_ps: Optional[float] = None,
-    prev: Optional[TimingState] = None,
-) -> Tuple[TimingReport, TimingState, TimingUpdateStats]:
-    """STA with arrival/required propagation seeded from a previous run.
-
-    Produces a report bitwise-identical to
-    ``analyze_timing(netlist, po_load_ff, clock_period_ps,
-    with_critical_path=False)`` — a gate's arrival is only reused when its
-    record, its output load, and all its input arrivals are unchanged, and a
-    net's required time is only reused when the clock period and every
-    consumer contribution is unchanged, so every skipped computation would
-    have reproduced the previous value exactly.  Without *prev* this is a
-    plain full analysis that additionally returns carry-over state.
-
-    Reuse predicates and both propagations run as level-wave array sweeps
-    over the flattened arc tables; per-candidate arithmetic is the same two
-    float64 operations as the scalar recurrence, and max/min reductions are
-    order-insensitive, so every produced value matches the scalar reference
-    bit for bit.  A *prev* state that is internally inconsistent (a gate
-    record present but its output arrival unknown) fails closed: the gate is
-    recomputed instead of propagating garbage or raising ``KeyError``.
-    """
-    stats = TimingUpdateStats(total_gates=netlist.num_gates)
-    num_nets = netlist.num_nets
-    gates = netlist.gates
-    num_gates = len(gates)
-    nan = float("nan")
-    inf = float("inf")
-
-    loads_dict = compute_net_loads(netlist, po_load_ff)
-    loads = np.fromiter(loads_dict.values(), dtype=np.float64, count=num_nets)
-    # Flatten arcs; raises the scalar pass's TimingError (same message, same
-    # first offender) when the netlist is not topologically ordered.
-    arcs = _ArcTables(netlist, loads)
-    arc_in = arcs.arc_in
-    arc_out = arcs.arc_out
-    arc_delay = arcs.arc_delay
-    num_arcs = len(arc_in)
-
-    # Per-gate arrays: output net, arity, arc range start, cell code, padded
-    # input tuple.  Width 4 covers every library cell; widen defensively.
-    gate_out = np.fromiter((g.output for g in gates), dtype=np.int64, count=num_gates)
-    arity = np.asarray(
-        [end - start for start, end in arcs.gate_arc_range], dtype=np.int64
-    )
-    g_start = np.asarray(
-        [start for start, _ in arcs.gate_arc_range], dtype=np.int64
-    )
-    width = max(4, int(arity.max()) if num_gates else 4)
-    cur_code = np.fromiter(
-        (_cell_code(g.cell) for g in gates), dtype=np.int64, count=num_gates
-    )
-    cur_inputs = np.full((num_gates, width), -1, dtype=np.int64)
-    if num_arcs:
-        arc_gate = np.repeat(np.arange(num_gates, dtype=np.int64), arity)
-        cur_inputs[arc_gate, _segment_arange(arity, num_arcs)] = arc_in
-    else:
-        arc_gate = np.empty(0, dtype=np.int64)
-
-    # Previous state, normalised to this netlist's net-id range (persistent
-    # ids: anything beyond either range is simply unknown).
-    if prev is not None:
-        p_arrival = _pad1(prev.arrival, num_nets, nan)
-        p_required = _pad1(prev.required_raw, num_nets, nan)
-        p_loads = _pad1(prev.loads, num_nets, nan)
-        p_code = _pad1(prev.gate_cell_code, num_nets, -1)
-        p_inputs = _pad2(prev.gate_inputs, num_nets, width, -1)
-        p_ccount = _pad1(prev.consumer_count, num_nets, 0)
-    else:
-        p_arrival = p_required = np.full(num_nets, nan)
-        p_loads = np.full(num_nets, nan)
-        p_code = np.full(num_nets, -1, dtype=np.int64)
-        p_inputs = np.full((num_nets, width), -1, dtype=np.int64)
-        p_ccount = np.zeros(num_nets, dtype=np.int64)
-
-    # Static gate-record reuse mask: same cell (identity, via interned
-    # codes), same inputs, same output load.  NaN loads (unknown in prev)
-    # compare unequal, exactly like the scalar dict-get against None.
-    if num_gates:
-        grec_ok = (
-            (p_code[gate_out] == cur_code)
-            & (p_inputs[gate_out] == cur_inputs).all(axis=1)
-            & (p_loads[gate_out] == loads[gate_out])
-        )
-        # Fail closed on inconsistent state: a matching gate record whose
-        # output arrival the previous run does not actually know must be
-        # recomputed (the scalar implementation raised KeyError here).
-        rec_ok = grec_ok & ~np.isnan(p_arrival[gate_out])
-    else:
-        grec_ok = rec_ok = np.zeros(0, dtype=bool)
-
-    # ---- arrival pass: level waves of reuse masks + maximum scatters ---- #
-    arrival_arr = np.full(num_nets, nan)
-    changed = np.zeros(num_nets, dtype=bool)
-    base_nets = np.asarray(
-        list(netlist.pi_nets) + list(netlist.constant_nets), dtype=np.int64
-    )
-    if len(base_nets):
-        arrival_arr[base_nets] = 0.0
-        changed[base_nets] = ~(p_arrival[base_nets] == 0.0)
-
-    gate_waves: List[np.ndarray] = []
-    if num_gates:
-        glev = np.asarray(arcs.gate_level, dtype=np.int64)
-        gorder = np.argsort(glev, kind="stable")
-        cuts = np.nonzero(np.diff(glev[gorder]))[0] + 1
-        gate_waves = np.split(gorder, cuts)
-
-    neg_inf = float("-inf")
-    for wave in gate_waves:
-        counts = arity[wave]
-        total = int(counts.sum())
-        wave_arcs = np.repeat(g_start[wave], counts) + _segment_arange(
-            counts, total
-        )
-        seg_starts = np.cumsum(counts) - counts
-        input_changed = np.bitwise_or.reduceat(
-            changed[arc_in[wave_arcs]], seg_starts
-        )
-        reuse = rec_ok[wave] & ~input_changed
-        reused_out = gate_out[wave[reuse]]
-        arrival_arr[reused_out] = p_arrival[reused_out]
-        redo = wave[~reuse]
-        if len(redo):
-            rc = arity[redo]
-            rtotal = int(rc.sum())
-            redo_arcs = np.repeat(g_start[redo], rc) + _segment_arange(
-                rc, rtotal
-            )
-            t = arrival_arr[arc_in[redo_arcs]] + arc_delay[redo_arcs]
-            outs = gate_out[redo]
-            arrival_arr[outs] = neg_inf
-            np.maximum.at(arrival_arr, arc_out[redo_arcs], t)
-            changed[outs] = ~(p_arrival[outs] == arrival_arr[outs])
-            stats.arrival_recomputed += len(redo)
-
-    po_arrival: Dict[str, float] = {}
-    for name, net in zip(netlist.po_names, netlist.po_nets):
-        if net is None:
-            raise TimingError(f"primary output {name!r} is unconnected")
-        po_arrival[name] = float(arrival_arr[net])
-    max_delay = max(po_arrival.values()) if po_arrival else 0.0
-    period = clock_period_ps if clock_period_ps is not None else max_delay
-    po_nets = np.unique(
-        np.asarray(
-            [net for net in netlist.po_nets if net is not None], dtype=np.int64
-        )
-    )
-
-    # ---- consumer structures (arcs grouped by input net) ---- #
-    arcs_per_net = np.bincount(arc_in, minlength=num_nets).astype(np.int64)
-    cons_start = np.cumsum(arcs_per_net) - arcs_per_net
-    if num_arcs:
-        in_order = np.argsort(arc_in, kind="stable")
-        cons_arcs = in_order
-        s_in = arc_in[in_order]
-        s_gate = arc_gate[in_order]
-        distinct = np.empty(num_arcs, dtype=bool)
-        distinct[0] = True
-        distinct[1:] = (s_in[1:] != s_in[:-1]) | (s_gate[1:] != s_gate[:-1])
-        consumer_count = np.bincount(
-            s_in[distinct], minlength=num_nets
-        ).astype(np.int64)
-        # All-consumers static check (duplicate gates cannot flip an AND).
-        cons_ok = np.ones(num_nets, dtype=bool)
-        np.logical_and.at(cons_ok, s_in, grec_ok[s_gate])
-    else:
-        cons_arcs = np.empty(0, dtype=np.int64)
-        consumer_count = np.zeros(num_nets, dtype=np.int64)
-        cons_ok = np.ones(num_nets, dtype=bool)
-
-    known_nets: List[int] = list(netlist.pi_nets)
-    known_nets.extend(netlist.constant_nets)
-    known_nets.extend(gate.output for gate in gates)
-    known_idx = np.asarray(known_nets, dtype=np.int64)
-
-    # ---- required pass ---- #
-    required_raw = np.full(num_nets, nan)
-    if (
-        prev is None
-        or period != prev.period
-        or not np.array_equal(po_nets, prev.po_nets)
-    ):
-        # Period or PO binding changed: every PO seed differs, the change
-        # cascades through the whole cone — recompute everything with the
-        # same reverse level sweeps as the full analysis.
-        stats.required_full = True
-        if len(known_idx):
-            required_raw[known_idx] = inf
-        required_raw[po_nets] = period
-        for group in reversed(arcs.level_groups):
-            np.minimum.at(
-                required_raw,
-                arc_in[group],
-                required_raw[arc_out[group]] - arc_delay[group],
-            )
-    else:
-        # Net-wave sweep in descending definition level: every consumer's
-        # output lies at a strictly higher level, so consumer required
-        # times (and their changed flags) are final when a net is visited.
-        is_po = np.zeros(num_nets, dtype=bool)
-        is_po[po_nets] = True
-        net_level = np.full(num_nets, -1, dtype=np.int64)
-        if len(base_nets):
-            net_level[base_nets] = 0
-        if num_gates:
-            net_level[gate_out] = glev
-        net_static = (
-            ~np.isnan(p_required)
-            & (consumer_count == p_ccount)
-            & cons_ok
-        )
-        req_changed = np.zeros(num_nets, dtype=bool)
-        known_mask_nets = np.nonzero(net_level >= 0)[0]
-        rorder = np.argsort(-net_level[known_mask_nets], kind="stable")
-        sorted_nets = known_mask_nets[rorder]
-        cuts = (
-            np.nonzero(np.diff(net_level[sorted_nets]))[0] + 1
-            if len(sorted_nets)
-            else np.empty(0, dtype=np.int64)
-        )
-        for net_wave in np.split(sorted_nets, cuts) if len(sorted_nets) else []:
-            reuse = net_static[net_wave].copy()
-            has_cons = arcs_per_net[net_wave] > 0
-            consumed = net_wave[has_cons]
-            if len(consumed):
-                cc = arcs_per_net[consumed]
-                ctotal = int(cc.sum())
-                aw = cons_arcs[
-                    np.repeat(cons_start[consumed], cc)
-                    + _segment_arange(cc, ctotal)
-                ]
-                seg_starts = np.cumsum(cc) - cc
-                consumer_changed = np.bitwise_or.reduceat(
-                    req_changed[arc_out[aw]], seg_starts
-                )
-                reuse[has_cons] &= ~consumer_changed
-            reused = net_wave[reuse]
-            required_raw[reused] = p_required[reused]
-            redo = net_wave[~reuse]
-            if len(redo):
-                required_raw[redo] = np.where(is_po[redo], period, inf)
-                rc = arcs_per_net[redo]
-                rtotal = int(rc.sum())
-                if rtotal:
-                    ar = cons_arcs[
-                        np.repeat(cons_start[redo], rc)
-                        + _segment_arange(rc, rtotal)
-                    ]
-                    np.minimum.at(
-                        required_raw,
-                        arc_in[ar],
-                        required_raw[arc_out[ar]] - arc_delay[ar],
-                    )
-                req_changed[redo] = ~(p_required[redo] == required_raw[redo])
-                stats.required_recomputed += len(redo)
-
-    # ---- reports (scalar key order: PIs, constants, gate outputs) ---- #
-    arrival_list = arrival_arr.tolist()
-    required_list = required_raw.tolist()
-    arrival_report = {net: arrival_list[net] for net in known_nets}
-    required_report = {
-        net: (period if required_list[net] == inf else required_list[net])
-        for net in known_nets
-    }
-    if stats.required_full:
-        stats.required_recomputed = len(required_report)
-
-    report = TimingReport(
-        max_delay_ps=max_delay,
-        po_arrival_ps=po_arrival,
-        net_arrival_ps=arrival_report,
-        net_required_ps=required_report,
-        net_load_ff=loads_dict,
-        critical_path=[],
-        clock_period_ps=period,
-    )
-    gate_cell_code = np.full(num_nets, -1, dtype=np.int64)
-    gate_inputs = np.full((num_nets, width), -1, dtype=np.int64)
-    if num_gates:
-        gate_cell_code[gate_out] = cur_code
-        gate_inputs[gate_out] = cur_inputs
-    state = TimingState(
-        num_nets=num_nets,
-        loads=loads,
-        arrival=arrival_arr,
-        required_raw=required_raw,
-        period=period,
-        po_nets=po_nets,
-        consumer_count=consumer_count,
-        gate_cell_code=gate_cell_code,
-        gate_inputs=gate_inputs,
-    )
-    return report, state, stats
-
-

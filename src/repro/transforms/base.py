@@ -47,25 +47,9 @@ class Transform(abc.ABC):
         """Return a new AIG implementing the same function as *aig*."""
 
     def run(self, aig: Aig) -> TransformResult:
-        """Apply the transform and return a result record with statistics.
-
-        When journaling is enabled on the input graph it is propagated to
-        the output graph together with one :class:`JournalEntry` describing
-        which output nodes the transform touched (structural diff against
-        the input), so downstream consumers — chiefly the incremental PPA
-        evaluator — can locate their baseline and its dirty cone without
-        rehashing.
-        """
+        """Apply the transform and return a result record with statistics."""
         before = aig.stats()
         result = self.apply(aig)
-        if aig.journal.enabled and result is not aig:
-            from repro.aig.journal import structural_diff
-
-            diff = structural_diff(aig, result)
-            result.journal.enabled = True
-            result.journal.note_transform(
-                self.name, set(diff.touched), parent_key=aig.exact_key()
-            )
         return TransformResult(
             transform=self.name, before=before, after=result.stats(), aig=result
         )

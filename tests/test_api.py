@@ -276,6 +276,23 @@ class TestSynthesisSession:
         with pytest.raises(OptimizationError):
             session.models.resolve("missing-model")
 
+    def test_incremental_kind_is_an_alias_of_cached(self, library):
+        sessions = {
+            kind: SynthesisSession(library=library, evaluator_kind=kind)
+            for kind in ("incremental", "cached")
+        }
+        assert isinstance(sessions["incremental"].evaluator, CachedEvaluator)
+        results = {
+            kind: session.optimize(
+                design="EX08", flow="ground-truth", iterations=2, seed=3
+            )
+            for kind, session in sessions.items()
+        }
+        alias, cached = results["incremental"], results["cached"]
+        assert alias.initial.as_tuple() == cached.initial.as_tuple()
+        assert alias.delay_ps == cached.delay_ps
+        assert alias.area_um2 == cached.area_um2
+
 
 class TestMeasureIterationRuntime:
     def test_evaluation_count_excludes_calibration(self, library, adder_aig):

@@ -39,7 +39,7 @@ from repro.aig.simulate import (
     simulate,
 )
 from repro.errors import AigError
-from repro.mapping.incremental import IncrementalMapper
+from repro.mapping import dp_arrays
 from repro.mapping.mapper import TechnologyMapper
 from repro.sta.analysis import analyze_timing
 from repro.transforms.engine import apply_script
@@ -163,23 +163,24 @@ def test_vectorized_simulation_kernel_bit_identical(seed):
 
 
 @pytest.mark.parametrize("seed", range(0, 50, 5))
-def test_arraycore_mapping_parity(seed, library):
-    """Full map and incremental map_full agree gate-for-gate and in timing
-    after the refactor (the array core feeds both paths)."""
+def test_arraycore_mapping_parity(seed, library, monkeypatch):
+    """The array-core mapping DP and the scalar reference DP agree
+    gate-for-gate and in timing, before and after a transform script."""
     aig = _random_case(seed)
     transformed = apply_script(aig, _random_script(seed)).aig
+    graphs = (aig, transformed)
 
     mapper = TechnologyMapper(library)
-    incremental = IncrementalMapper(library)
-    for graph in (aig, transformed):
-        netlist = mapper.map(graph)
-        state, stats = incremental.map_full(graph)
-        assert stats.mode == "full"
-        assert state.netlist.num_gates == netlist.num_gates
-        assert state.netlist.area_um2() == netlist.area_um2()
+    vector_netlists = [mapper.map(graph) for graph in graphs]
+    monkeypatch.setattr(dp_arrays, "try_full_dp", lambda mapper, aig: None)
+    for graph, netlist in zip(graphs, vector_netlists):
+        scalar = mapper.map(graph)
+        assert not mapper.last_dp_stats.used_vectorized
+        assert scalar.gates == netlist.gates
+        assert scalar.area_um2() == netlist.area_um2()
         report = analyze_timing(netlist)
-        report_inc = analyze_timing(state.netlist)
-        assert report_inc.max_delay_ps == report.max_delay_ps
+        report_scalar = analyze_timing(scalar)
+        assert report_scalar.max_delay_ps == report.max_delay_ps
 
 
 def test_exact_key_and_fingerprint_pinned(tiny_aig):

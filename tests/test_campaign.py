@@ -15,7 +15,7 @@ from repro.campaign import (
     strip_timing,
 )
 from repro.campaign.cells import cell_rng
-from repro.campaign.runner import EngineCell, run_cells
+from repro.campaign.runner import EngineCell, engine_cells, run_cells
 from repro.cli import main
 from repro.designs.generators import adder_design
 from repro.errors import CampaignError
@@ -226,6 +226,46 @@ class TestEngine:
         cell = EngineCell(cell_id="dup", fn="test_campaign:_noop_cell", payload={})
         summary = run_cells([cell, cell, cell], store, max_workers=1)
         assert summary.total == 1 and summary.executed == 1
+
+
+class TestIncrementalAlias:
+    """``incremental`` names the cached evaluator; specs, cell ids and stored
+    records that name it stay valid."""
+
+    def test_cell_id_and_record_are_unchanged(self):
+        spec = CampaignSpec(
+            designs=("EX00",),
+            flows=("baseline",),
+            optimizers=("greedy",),
+            evaluators=("incremental",),
+            seeds=(1,),
+            iterations=4,
+        )
+        (cell,) = engine_cells(spec)
+        # Pinned from before "incremental" became an alias: stores keyed by
+        # this id must stay valid.
+        assert cell.cell_id == "c2ee6b97d38be7ef0ddd"
+        store = ResultStore()
+        run_cells([cell], store)
+        record = strip_timing(store.latest()[cell.cell_id])
+        # The record that cell wrote then, which stored results must match.
+        assert record["final_delay_ps"] == 1178.3100000000002
+        assert record["final_area_um2"] == 622.5999999999995
+        assert record["num_ands_after"] == 235
+
+        # The cell RNG is keyed by the cell id, so the matching cached run
+        # keeps this id and changes only the evaluator.
+        cached = EngineCell(
+            cell_id=cell.cell_id,
+            fn=cell.fn,
+            payload=dict(cell.payload, evaluator="cached"),
+        )
+        reference = ResultStore()
+        run_cells([cached], reference)
+        expected = strip_timing(reference.latest()[cell.cell_id])
+        assert record.pop("evaluator") == "incremental"
+        assert expected.pop("evaluator") == "cached"
+        assert record == expected
 
 
 class TestStatusAndReport:

@@ -106,6 +106,9 @@ def _fired_events(state_dir):
 # {store} (the shard directory).  torn_append/oserror rules match on the
 # full shard path so they hit the result shards and never the .leases/
 # or .progress/ sidecars (whose filenames also contain the writer name).
+# They match either writer's shard ({store}/w): ``nth`` counts per process,
+# and either writer may drain every cell.  ``must_fire`` lists the rule
+# indices that every run of the schedule has to fire.
 # --------------------------------------------------------------------------- #
 SCHEDULES = [
     {
@@ -118,7 +121,8 @@ SCHEDULES = [
     },
     {
         "id": "torn-append",
-        "plan": "dir={state};torn_append@store_append:nth=2,max=1,match={store}/w1.jsonl",
+        "plan": "dir={state};torn_append@store_append:nth=2,max=1,match={store}/w",
+        "must_fire": (0,),
     },
     {
         "id": "flaky-fs",
@@ -147,9 +151,10 @@ SCHEDULES = [
     {
         "id": "torn-and-flush-error",
         "plan": (
-            "dir={state};torn_append@store_append:nth=3,max=1,match={store}/w2.jsonl;"
+            "dir={state};torn_append@store_append:nth=3,max=1,match={store}/w;"
             "error@flush:nth=2,max=1"
         ),
+        "must_fire": (0,),
     },
 ]
 
@@ -198,7 +203,12 @@ def test_fault_schedule_converges_to_fault_free_store(tmp_path, schedule):
         f"schedule {schedule['id']} did not converge in {MAX_ROUNDS} rounds"
     )
     # The fault genuinely fired (the schedule exercised its failure mode).
-    assert _fired_events(state_dir), f"schedule {schedule['id']} never fired"
+    fired_rules = {event["rule"] for event in _fired_events(state_dir)}
+    assert fired_rules, f"schedule {schedule['id']} never fired"
+    for rule in schedule.get("must_fire", ()):
+        assert rule in fired_rules, (
+            f"schedule {schedule['id']} never fired rule {rule}"
+        )
     # Differential: canonical view identical to the fault-free run, modulo
     # wall-clock fields — crash markers, injected-error records, and
     # control markers are all superseded in the canonical projection.

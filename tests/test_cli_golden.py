@@ -74,8 +74,8 @@ def test_flow_output_matches_golden(capsys, design, seed, golden):
 
 
 def test_flow_with_incremental_evaluator_matches_golden_numbers(capsys):
-    """`--evaluator incremental` must not change any reported number — it
-    only appends its own statistics line."""
+    """`--evaluator incremental` is an alias of the cached evaluator, so its
+    output is the golden output, line for line."""
     out = _run_cli(
         capsys,
         [
@@ -91,7 +91,4 @@ def test_flow_with_incremental_evaluator_matches_golden_numbers(capsys):
             "incremental",
         ],
     )
-    lines = _normalize(out).splitlines()
-    golden_lines = _golden("flow_ex68_baseline_seed11.txt").splitlines()
-    assert lines[: len(golden_lines)] == golden_lines
-    assert lines[len(golden_lines)].startswith("incremental eval   : ")
+    assert _normalize(out) == _golden("flow_ex68_baseline_seed11.txt")

@@ -1,31 +1,19 @@
-"""Differential suite for the cold-path array kernels.
+"""Differential suite for the cold-path simulation kernel.
 
-Two of the cold-path rewrites carry correctness obligations that only a
-randomized differential suite can hold down:
-
-* the array-backed incremental STA
-  (:func:`repro.sta.analysis.analyze_timing_incremental`) must stay
-  bitwise-identical to the full scalar-order analysis across arbitrary
-  netlist edit sequences, including its warm-reuse fast path, the
-  required-time clock invalidation, and the fail-closed handling of
-  inconsistent carry-over state;
-* wave-coalesced simulation (:func:`repro.aig.simulate.simulate_pos`) must
-  produce exactly the packed-integer reference values on both sides of the
-  :data:`~repro.aig.simulate.SCALAR_WAVE_WIDTH` boundary — deep narrow
-  graphs, wide shallow graphs, and mixed wide+chain shapes, at pattern
-  counts that exercise full and partial tail lanes.
+Wave-coalesced simulation (:func:`repro.aig.simulate.simulate_pos`) must
+produce exactly the packed-integer reference values on both sides of the
+:data:`~repro.aig.simulate.SCALAR_WAVE_WIDTH` boundary — deep narrow
+graphs, wide shallow graphs, and mixed wide+chain shapes, at pattern
+counts that exercise full and partial tail lanes.
 """
 
 from __future__ import annotations
 
-import math
 import random
 
 import pytest
 
 from repro.aig.graph import Aig
-from repro.aig.literals import literal_var
-from repro.aig.random_graphs import random_aig
 from repro.aig.simulate import (
     SCALAR_WAVE_WIDTH,
     literal_values,
@@ -33,128 +21,6 @@ from repro.aig.simulate import (
     simulate,
     simulate_pos,
 )
-from repro.mapping.mapper import map_aig
-from repro.sta.analysis import analyze_timing, analyze_timing_incremental
-from repro.transforms.engine import apply_script
-
-PRIMITIVES = ["b", "rw", "rwz", "rf", "rfz", "rs", "st"]
-
-
-# --------------------------------------------------------------------------- #
-# Array STA: random netlist edit sequences
-# --------------------------------------------------------------------------- #
-def _assert_report_equal(got, ref, context: str) -> None:
-    assert got.max_delay_ps == ref.max_delay_ps, context
-    assert got.po_arrival_ps == ref.po_arrival_ps, context
-    assert got.net_arrival_ps == ref.net_arrival_ps, context
-    assert got.net_required_ps == ref.net_required_ps, context
-    assert got.net_load_ff == ref.net_load_ff, context
-    assert got.clock_period_ps == ref.clock_period_ps, context
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_incremental_sta_matches_full_over_edit_sequences(seed, library):
-    """Chained incremental STA == fresh full STA after every netlist edit."""
-    rng = random.Random(4200 + seed)
-    aig = random_aig(
-        num_pis=rng.randint(4, 8),
-        num_pos=rng.randint(2, 4),
-        num_ands=rng.randint(30, 90),
-        rng=random.Random(640 + seed),
-        name=f"sta{seed}",
-    )
-    state = None
-    reused_any = False
-    for step in range(6):
-        netlist = map_aig(aig, library)
-        report, state, stats = analyze_timing_incremental(
-            netlist, po_load_ff=library.po_load_ff, prev=state
-        )
-        reference = analyze_timing(
-            netlist, po_load_ff=library.po_load_ff, with_critical_path=False
-        )
-        _assert_report_equal(report, reference, f"seed={seed} step={step}")
-        assert stats.total_gates == netlist.num_gates
-        assert stats.arrival_recomputed <= stats.total_gates
-        if step > 0 and stats.arrival_recomputed < stats.total_gates:
-            reused_any = True
-        script = [
-            PRIMITIVES[rng.randrange(len(PRIMITIVES))]
-            for _ in range(rng.randint(1, 3))
-        ]
-        aig = apply_script(aig, script).aig
-    # Across 10 seeds x 6 steps the fresh-map netlists share no net ids, so
-    # reuse is not guaranteed per step — but the suite as a whole must see
-    # the warm path fire somewhere; a silent always-full regression fails.
-    del reused_any  # per-seed: asserted in the warm-rerun test below
-
-
-def test_incremental_sta_warm_rerun_reuses_everything(library):
-    """Re-analysing an identical netlist recomputes nothing."""
-    aig = random_aig(6, 3, 80, rng=random.Random(77), name="warm")
-    netlist = map_aig(aig, library)
-    _, state, _ = analyze_timing_incremental(
-        netlist, po_load_ff=library.po_load_ff
-    )
-    report, _, stats = analyze_timing_incremental(
-        netlist, po_load_ff=library.po_load_ff, prev=state
-    )
-    assert stats.arrival_recomputed == 0
-    assert stats.required_recomputed == 0
-    assert not stats.required_full
-    reference = analyze_timing(
-        netlist, po_load_ff=library.po_load_ff, with_critical_path=False
-    )
-    _assert_report_equal(report, reference, "warm rerun")
-
-
-def test_incremental_sta_period_change_invalidates_required_only(library):
-    """A new clock period redoes required times but reuses arrivals."""
-    aig = random_aig(6, 3, 70, rng=random.Random(78), name="period")
-    netlist = map_aig(aig, library)
-    _, state, _ = analyze_timing_incremental(
-        netlist, po_load_ff=library.po_load_ff
-    )
-    report, _, stats = analyze_timing_incremental(
-        netlist,
-        po_load_ff=library.po_load_ff,
-        clock_period_ps=1234.5,
-        prev=state,
-    )
-    assert stats.arrival_recomputed == 0
-    assert stats.required_full
-    reference = analyze_timing(
-        netlist,
-        po_load_ff=library.po_load_ff,
-        clock_period_ps=1234.5,
-        with_critical_path=False,
-    )
-    _assert_report_equal(report, reference, "period change")
-
-
-def test_incremental_sta_fails_closed_on_inconsistent_prev_state(library):
-    """A known gate record with an unknown output arrival is recomputed.
-
-    The dict-era reuse predicate raised a raw ``KeyError`` on this shape of
-    carry-over state; the array predicate must treat it as "do not reuse"
-    and still produce the exact full-analysis report.
-    """
-    aig = random_aig(5, 3, 60, rng=random.Random(79), name="closed")
-    netlist = map_aig(aig, library)
-    _, state, _ = analyze_timing_incremental(
-        netlist, po_load_ff=library.po_load_ff
-    )
-    # Corrupt: keep the gate record but forget its output arrival.
-    victim = netlist.gates[len(netlist.gates) // 2].output
-    state.arrival[victim] = math.nan
-    report, _, stats = analyze_timing_incremental(
-        netlist, po_load_ff=library.po_load_ff, prev=state
-    )
-    assert stats.arrival_recomputed >= 1
-    reference = analyze_timing(
-        netlist, po_load_ff=library.po_load_ff, with_critical_path=False
-    )
-    _assert_report_equal(report, reference, "fail closed")
 
 
 # --------------------------------------------------------------------------- #

@@ -4,8 +4,9 @@ The array-batched cold-map DP (:mod:`repro.mapping.dp_arrays`) is only
 allowed to exist because this suite holds: across random AIGs, two cell
 libraries, and both mapping modes, the vectorized path must reproduce the
 scalar reference DP exactly — same per-node arrivals, same emitted gates,
-same nets, same floats.  ``REPRO_MAP_DP=scalar`` forces the reference
-implementation; the differential cases run both and compare.
+same nets, same floats.  Patching ``dp_arrays.try_full_dp`` to return
+``None`` forces the reference implementation; the differential cases run
+both and compare.
 """
 
 from __future__ import annotations
@@ -74,13 +75,14 @@ def _netlist_signature(netlist):
 
 def _map_both(aig, library, options, monkeypatch):
     """(scalar netlist, vector netlist, vector DpStats) for one config."""
-    monkeypatch.setenv("REPRO_MAP_DP", "scalar")
+    vector_dp = dp_arrays.try_full_dp
+    monkeypatch.setattr(dp_arrays, "try_full_dp", lambda mapper, aig: None)
     scalar_mapper = TechnologyMapper(library, options)
     scalar = scalar_mapper.map(aig)
     assert scalar_mapper.last_dp_stats is not None
     assert not scalar_mapper.last_dp_stats.used_vectorized
 
-    monkeypatch.setenv("REPRO_MAP_DP", "vector")
+    monkeypatch.setattr(dp_arrays, "try_full_dp", vector_dp)
     vector_mapper = TechnologyMapper(library, options)
     vector = vector_mapper.map(aig)
     return scalar, vector, vector_mapper.last_dp_stats
@@ -125,22 +127,7 @@ def test_vectorized_dp_matches_scalar_across_cut_sizes(
     assert _netlist_signature(vector) == _netlist_signature(scalar)
 
 
-def test_scalar_env_toggle_forces_fallback(library, monkeypatch):
-    monkeypatch.setenv("REPRO_MAP_DP", "scalar")
-    assert dp_arrays.dp_mode() == "scalar"
-    mapper = TechnologyMapper(library)
-    mapper.map(_case(300))
-    assert not mapper.last_dp_stats.used_vectorized
-
-    monkeypatch.delenv("REPRO_MAP_DP")
-    assert dp_arrays.dp_mode() == ""
-    mapper = TechnologyMapper(library)
-    mapper.map(_case(300))
-    assert mapper.last_dp_stats.used_vectorized
-
-
-def test_dp_stats_account_for_every_and(library, monkeypatch):
-    monkeypatch.setenv("REPRO_MAP_DP", "vector")
+def test_dp_stats_account_for_every_and(library):
     aig = _case(400)
     mapper = TechnologyMapper(library)
     mapper.map(aig)

@@ -285,6 +285,48 @@ def test_manager_resumes_unfinished_jobs_from_store(tmp_path):
         resumed.close()
 
 
+def test_identical_uploads_racing_past_the_exists_check(tmp_path, monkeypatch):
+    """Two writers of one upload both pass the exists() check, and both
+    finish writing, before either renames into place; both must succeed."""
+    manager = JobManager(ServiceConfig(workers=0, store=str(tmp_path / "store")))
+    real_replace = os.replace
+    both_written = threading.Barrier(2, timeout=10)
+
+    def gated_replace(src, dst, *args, **kwargs):
+        if Path(dst).parent == manager.uploads_dir:
+            both_written.wait()
+        return real_replace(src, dst, *args, **kwargs)
+
+    # Path.replace delegates to os.replace, so this gates either spelling.
+    monkeypatch.setattr(os, "replace", gated_replace)
+    results = []
+    errors = []
+
+    def submit():
+        try:
+            results.append(
+                manager.submit({"netlist": BENCH3, "format": "bench", **FAST})
+            )
+        except Exception as exc:  # pragma: no cover - surfaced via assert
+            errors.append(exc)
+
+    try:
+        threads = [threading.Thread(target=submit) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        manager.close()
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    assert len({job["job_id"] for job, _ in results}) == 1
+    assert sorted(created for _, created in results) == [False, True]
+    uploads = sorted(path.name for path in manager.uploads_dir.iterdir())
+    assert len(uploads) == 1 and uploads[0].endswith(".bench")
+    assert (manager.uploads_dir / uploads[0]).read_text() == BENCH3
+
+
 def test_manager_level_submit_errors(tmp_path):
     manager = JobManager(ServiceConfig(workers=0, store=str(tmp_path / "store")))
     try:

@@ -17,7 +17,6 @@ import pytest
 
 from repro.aig.random_graphs import random_aig
 from repro.api.evaluators import CachedEvaluator, evaluator_context_key
-from repro.api.incremental import IncrementalEvaluator
 from repro.api.session import SessionPool, SynthesisSession
 from repro.campaign import (
     CampaignSpec,
@@ -125,25 +124,6 @@ def test_cached_evaluator_snapshot_round_trip(tmp_path, library):
     assert fresh.evaluator.stats.hits == 4
     # Idempotent per (session, directory).
     assert seed_session(fresh, tmp_path / "ws") == 0
-
-
-def test_incremental_evaluator_snapshot_round_trip(tmp_path):
-    pool = SessionPool()
-    session = pool.get(evaluator_kind="incremental")
-    assert isinstance(session.evaluator, IncrementalEvaluator)
-    results = [session.evaluator.evaluate(aig) for aig in _aigs(3, base=50)]
-    assert save_snapshot(tmp_path / "ws", pool) == 3
-
-    fresh = SessionPool().get(evaluator_kind="incremental")
-    assert seed_session(fresh, tmp_path / "ws") == 3
-    for aig, reference in zip(_aigs(3, base=50), results):
-        got = fresh.evaluator.evaluate(aig)
-        assert got.delay_ps == reference.delay_ps
-        assert got.area_um2 == reference.area_um2
-    # All three were served from the seeded result cache: no mapping ran.
-    assert fresh.evaluator.stats.full_maps == 0
-    assert fresh.evaluator.stats.incremental_maps == 0
-    assert fresh.evaluator.stats.structural_hits == 3
 
 
 def test_snapshot_context_mismatch_never_seeds(tmp_path, alt_library):
