@@ -32,11 +32,6 @@ class DepthReport:
         return ordered[:n]
 
 
-def node_levels(aig: Aig) -> List[int]:
-    """Unweighted level of every variable (PIs at level 0)."""
-    return aig.levels()
-
-
 def weighted_node_levels(aig: Aig, weights: Sequence[float]) -> List[float]:
     """Longest weighted path from any PI to each variable.
 

@@ -21,7 +21,7 @@ construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.aig.journal import fingerprint_from_hashes, node_hashes_cached
 from repro.aig.literals import (
@@ -505,39 +505,3 @@ def rebuild_map(source: Aig, target: Aig) -> Dict[int, int]:
     for var, name in zip(source.pi_vars, source.pi_names):
         mapping[var] = target.add_pi(name)
     return mapping
-
-
-def copy_cone(
-    source: Aig,
-    target: Aig,
-    mapping: Dict[int, int],
-    roots: Iterable[int],
-) -> None:
-    """Copy the transitive fanin cones of *roots* (literals) into *target*.
-
-    *mapping* maps already-copied source variables to target literals and is
-    updated in place.
-    """
-    for root in roots:
-        stack = [literal_var(root)]
-        post: List[int] = []
-        visited = set(mapping)
-        while stack:
-            var = stack.pop()
-            if var in visited:
-                continue
-            visited.add(var)
-            post.append(var)
-            if source.is_and(var):
-                f0, f1 = source.fanins(var)
-                stack.append(literal_var(f0))
-                stack.append(literal_var(f1))
-        for var in sorted(post):
-            if var in mapping:
-                continue
-            if not source.is_and(var):
-                raise AigError(f"variable {var} reached but not mapped (PI missing?)")
-            f0, f1 = source.fanins(var)
-            new_f0 = negate_if(mapping[literal_var(f0)], is_complemented(f0))
-            new_f1 = negate_if(mapping[literal_var(f1)], is_complemented(f1))
-            mapping[var] = target.add_and(new_f0, new_f1)

@@ -10,19 +10,11 @@ Simulation serves three purposes in this library:
 
 Patterns are packed into Python integers, one bit per pattern, so a single
 pass over the graph evaluates an arbitrary number of patterns in parallel.
-Output-focused simulations (:func:`simulate_pos`, hence the equivalence
-checkers) with >= :data:`VECTOR_PATTERN_THRESHOLD` patterns additionally
-split each packed word into 64-bit lanes and evaluate wide logic levels
-with numpy, a handful of array operations per level wave; runs of waves
-narrower than :data:`SCALAR_WAVE_WIDTH` are coalesced into packed-integer
-segments instead of disabling the lane kernel for the whole graph, values
-cross the lane/int boundary lazily, and the resulting words are
-bit-identical to the pure packed-integer loop.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -38,28 +30,6 @@ from repro.utils.rng import RngLike, ensure_rng
 #: blowup; 20 PIs (1 Mbit per node) matches the limit used by
 #: :func:`repro.aig.equivalence.check_equivalence_exact`.
 MAX_EXACT_TABLE_PIS = 20
-
-#: Pattern count at and above which :func:`simulate_pos` considers the
-#: level-parallel numpy kernel (4+ uint64 lanes per word).  Below this the
-#: plain-integer loop wins on constant factors.
-VECTOR_PATTERN_THRESHOLD = 256
-
-#: Minimum AND count of a level wave for the numpy kernel to beat the
-#: packed-integer loop on that wave.  Narrower consecutive waves are
-#: coalesced into one big-int segment instead of forcing the whole graph
-#: onto the scalar path (the old all-or-nothing average-width heuristic).
-#: The crossover sits well above the dispatch-cost break-even on dense
-#: random words because AND-ing halves a value's ones-density per level and
-#: CPython big-ints drop leading zero limbs, so the packed-integer loop
-#: speeds up with depth while the lane kernel always pays full-width.
-SCALAR_WAVE_WIDTH = 256
-
-#: Largest uint64 word count per pattern word for which the lane kernel is
-#: dispatch-bound and therefore profitable.  Beyond this (patterns > 512)
-#: both kernels are memory-bound and the numpy formulation's extra passes
-#: (gather, two xors, two ands, scatter) lose to the single-pass big-int
-#: operations, so wide waves also run on the packed-integer loop.
-MAX_LANE_WORDS = 8
 
 #: Cap on the per-graph cone truth-table memo (see
 #: :func:`cone_truth_table`).  Entries are small (two ints and a short
@@ -89,14 +59,6 @@ def simulate(aig: Aig, pi_values: Sequence[int], num_patterns: int) -> List[int]
             f"expected {aig.num_pis} input words, got {len(pi_values)}"
         )
     mask = (1 << num_patterns) - 1
-    # All callers of this entry point need every variable's value as a
-    # Python integer, and measured end to end the lane-to-int conversion
-    # alone costs more than the packed-integer recurrence saves — at every
-    # graph shape and pattern count (CPython big-int bitwise ops are one
-    # memory pass; the numpy waves are several, plus a per-variable
-    # ``int.from_bytes``).  The lane kernel therefore only serves callers
-    # that consume a few outputs (:func:`simulate_pos`), where the
-    # conversion is restricted to the requested variables.
     values = [0] * aig.size
     for var, word in zip(aig.pi_vars, pi_values):
         values[var] = word & mask
@@ -149,137 +111,6 @@ def _simulate_vectorized(
     ]
 
 
-def _simulation_plan(arrays):
-    """Partition the level waves into vector and coalesced scalar segments.
-
-    Returns ``(segments, num_vector_nodes)`` where each segment is either
-    ``("vec", [group, ...])`` — a run of consecutive waves each at least
-    :data:`SCALAR_WAVE_WIDTH` nodes wide, evaluated with the uint64-lane
-    kernel — or ``("int", node_array, publish_array)`` — adjacent narrower
-    waves concatenated in level order (hence still topological) and
-    evaluated with the packed-integer loop.  ``publish_array`` lists the
-    segment's nodes whose values a later vector segment reads, so only
-    those are converted back into lanes.  The plan depends only on the
-    graph structure and is memoised on the (append-only) array core.
-    """
-    cached = arrays.dp_cache.get(("sim_plan",))
-    if cached is not None:
-        return cached
-    runs: List[Tuple[str, List[np.ndarray]]] = []
-    for group in arrays.and_level_groups():
-        kind = "vec" if len(group) >= SCALAR_WAVE_WIDTH else "int"
-        if runs and runs[-1][0] == kind:
-            runs[-1][1].append(group)
-        else:
-            runs.append((kind, [group]))
-    # Vector segments read fanins straight from the lane matrix, so scalar
-    # results feeding them (and only those) must be published back.
-    vec_reads = np.zeros(arrays.size, dtype=bool)
-    num_vector_nodes = 0
-    for kind, groups in runs:
-        if kind != "vec":
-            continue
-        for group in groups:
-            num_vector_nodes += len(group)
-            vec_reads[arrays.fanin0_var[group]] = True
-            vec_reads[arrays.fanin1_var[group]] = True
-    segments: List[Tuple] = []
-    for kind, groups in runs:
-        if kind == "vec":
-            segments.append(("vec", groups))
-        else:
-            nodes = np.concatenate(groups)
-            segments.append(("int", nodes, nodes[vec_reads[nodes]]))
-    plan = (segments, num_vector_nodes)
-    # repro-lint: ignore[C2] -- _simulation_plan owns this dp_cache key and
-    # recomputation is deterministic, so a racing duplicate write is benign.
-    arrays.dp_cache[("sim_plan",)] = plan
-    return plan
-
-
-def _simulate_hybrid(
-    aig: Aig,
-    pi_values: Sequence[int],
-    num_patterns: int,
-    mask: int,
-    segments: Sequence[Tuple],
-    need_vars: Optional[Sequence[int]] = None,
-) -> List[Optional[int]]:
-    """Mixed-kernel simulation following a :func:`_simulation_plan`.
-
-    Wide waves run on the uint64-lane matrix, coalesced narrow runs on
-    packed Python integers; values cross a representation boundary lazily
-    and each conversion is a byte-exact reinterpretation, so the result is
-    bit-identical to either pure kernel.  With *need_vars* given, only the
-    listed variables are guaranteed to be resolved to integers in the
-    returned list (others may be ``None``); this is what makes the lane
-    kernel pay off — skipping the per-variable ``int.from_bytes`` for
-    values nobody reads.
-    """
-    arrays = aig.arrays()
-    num_words = (num_patterns + 63) // 64
-    num_bytes = num_words * 8
-    lanes = np.zeros((arrays.size, num_words), dtype=np.uint64)
-    ints: List[Optional[int]] = [None] * arrays.size
-    ints[0] = 0
-    for var, word in zip(aig.pi_vars, pi_values):
-        word &= mask
-        ints[var] = word
-        lanes[var] = np.frombuffer(word.to_bytes(num_bytes, "little"), dtype="<u8")
-    f0v, f1v = arrays.fanin_var_lists()
-    fanin0 = aig._fanin0
-    fanin1 = aig._fanin1
-    full = np.uint64(0xFFFFFFFFFFFFFFFF)
-    tail = np.full(num_words, full, dtype=np.uint64)
-    spill = num_patterns % 64
-    if spill:
-        tail[-1] = np.uint64((1 << spill) - 1)
-    comp0 = np.where(arrays.fanin0_comp, full, np.uint64(0))
-    comp1 = np.where(arrays.fanin1_comp, full, np.uint64(0))
-    fv0 = arrays.fanin0_var
-    fv1 = arrays.fanin1_var
-    for segment in segments:
-        if segment[0] == "vec":
-            for group in segment[1]:
-                v0 = lanes[fv0[group]] ^ comp0[group][:, None]
-                v1 = lanes[fv1[group]] ^ comp1[group][:, None]
-                lanes[group] = (v0 & v1) & tail
-            continue
-        _, nodes, publish = segment
-        for var in nodes.tolist():
-            i0 = f0v[var]
-            v0 = ints[i0]
-            if v0 is None:
-                v0 = int.from_bytes(lanes[i0].tobytes(), "little")
-                ints[i0] = v0
-            if fanin0[var] & 1:
-                v0 = ~v0 & mask
-            i1 = f1v[var]
-            v1 = ints[i1]
-            if v1 is None:
-                v1 = int.from_bytes(lanes[i1].tobytes(), "little")
-                ints[i1] = v1
-            if fanin1[var] & 1:
-                v1 = ~v1 & mask
-            ints[var] = v0 & v1
-        for var in publish.tolist():
-            lanes[var] = np.frombuffer(
-                ints[var].to_bytes(num_bytes, "little"), dtype="<u8"
-            )
-    if need_vars is None:
-        data = lanes.tobytes()
-        return [
-            word
-            if word is not None
-            else int.from_bytes(data[i * num_bytes : (i + 1) * num_bytes], "little")
-            for i, word in enumerate(ints)
-        ]
-    for var in need_vars:
-        if ints[var] is None:
-            ints[var] = int.from_bytes(lanes[var].tobytes(), "little")
-    return ints
-
-
 def literal_values(
     aig: Aig, node_values: Sequence[int], literals: Sequence[int], num_patterns: int
 ) -> List[int]:
@@ -295,42 +126,9 @@ def literal_values(
 
 
 def simulate_pos(aig: Aig, pi_values: Sequence[int], num_patterns: int) -> List[int]:
-    """Packed primary-output values under the given input patterns.
-
-    Unlike :func:`simulate`, only the PO driver values are needed as Python
-    integers, so wide level waves can profitably run on the uint64-lane
-    kernel: the per-variable lane-to-int conversion — which dominates the
-    full-value path — is limited to the PO drivers and the lane/int
-    boundary crossings of the wave plan.  Narrow waves (and narrow-word
-    regimes, where both kernels are memory-bound and numpy's extra passes
-    lose) stay on the packed-integer loop; results are bit-identical either
-    way.
-    """
-    if len(pi_values) != aig.num_pis:
-        raise AigError(
-            f"expected {aig.num_pis} input words, got {len(pi_values)}"
-        )
-    po_literals = aig.po_literals()
-    num_words = (num_patterns + 63) // 64
-    if (
-        num_patterns >= VECTOR_PATTERN_THRESHOLD
-        and num_words <= MAX_LANE_WORDS
-        and aig.num_ands
-    ):
-        segments, num_vector_nodes = _simulation_plan(aig.arrays())
-        if num_vector_nodes:
-            mask = (1 << num_patterns) - 1
-            values = _simulate_hybrid(
-                aig,
-                pi_values,
-                num_patterns,
-                mask,
-                segments,
-                need_vars=[literal_var(lit) for lit in po_literals],
-            )
-            return literal_values(aig, values, po_literals, num_patterns)
+    """Packed primary-output values under the given input patterns."""
     values = simulate(aig, pi_values, num_patterns)
-    return literal_values(aig, values, po_literals, num_patterns)
+    return literal_values(aig, values, aig.po_literals(), num_patterns)
 
 
 def exhaustive_pi_patterns(num_pis: int) -> List[int]:

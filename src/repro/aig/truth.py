@@ -258,12 +258,6 @@ def sop_to_truth(cubes: Sequence[Cube], num_vars: int) -> int:
     return table & table_mask(num_vars)
 
 
-def cube_literal_count(cube: Cube) -> int:
-    """Number of literals in a cube."""
-    pos, neg = cube
-    return pos.bit_count() + neg.bit_count()
-
-
 # --------------------------------------------------------------------------- #
 # NPN canonicalisation
 # --------------------------------------------------------------------------- #
@@ -337,8 +331,3 @@ def p_canonical(table: int, num_vars: int) -> int:
         if candidate < best:
             best = candidate
     return best
-
-
-def all_input_permutations(num_vars: int) -> List[Tuple[int, ...]]:
-    """All permutations of *num_vars* inputs (helper for matchers)."""
-    return [tuple(p) for p in permutations(range(num_vars))]

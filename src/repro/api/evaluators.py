@@ -30,6 +30,7 @@ from repro.aig.graph import Aig
 from repro.evaluation import Evaluator, GroundTruthEvaluator, PpaResult
 from repro.library.library import CellLibrary
 from repro.mapping.mapper import MappingOptions
+from repro.utils.pool import exit_with_parent
 
 
 def evaluator_context_key(evaluator: Evaluator) -> str:
@@ -247,6 +248,7 @@ def _worker_init(
 ) -> None:
     global _WORKER_EVALUATOR
     _WORKER_EVALUATOR = GroundTruthEvaluator(library, options)
+    exit_with_parent()
 
 
 def _worker_evaluate(aig: Aig) -> PpaResult:

@@ -176,7 +176,7 @@ class SynthesisSession:
     mapping_options:
         Technology-mapper knobs shared by every evaluation.
     cache:
-        Memoise PPA results on the AIG structural fingerprint (default on).
+        Memoise PPA results on the AIG's exact graph key (default on).
     cache_entries:
         Optional LRU bound on the number of cached results.
     parallel_workers:

@@ -95,10 +95,7 @@ from repro.campaign.store import (
     strip_timing,
 )
 from repro.campaign.warmstart import (
-    costs_path_for,
     ground_truth_evaluations,
-    load_costs,
-    merge_costs,
     save_snapshot,
     seed_session,
     warmstart_dir_for,
@@ -130,7 +127,6 @@ __all__ = [
     "canonical_records",
     "cell_id_for",
     "compact_store",
-    "costs_path_for",
     "default_shard_name",
     "design_role",
     "design_token",
@@ -139,8 +135,6 @@ __all__ = [
     "engine_cells",
     "execute_cell",
     "ground_truth_evaluations",
-    "load_costs",
-    "merge_costs",
     "execute_cell_with_policy",
     "in_pooled_worker",
     "lease_manager_for",

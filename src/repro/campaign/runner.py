@@ -61,23 +61,13 @@ from repro.campaign.quarantine import (
     quarantine_markers,
     quarantined_ids,
 )
-from repro.campaign.schedule import (
-    SchedulerLike,
-    _cell_budget,
-    _cost_group,
-    resolve_scheduler,
-)
+from repro.campaign.schedule import SchedulerLike, resolve_scheduler
 from repro.campaign.spec import CampaignCell, CampaignSpec
 from repro.campaign.store import CellResultStore
-from repro.campaign.warmstart import (
-    WARMSTART_PAYLOAD_KEY,
-    costs_path_for,
-    load_costs,
-    merge_costs,
-    warmstart_dir_for,
-)
+from repro.campaign.warmstart import WARMSTART_PAYLOAD_KEY, warmstart_dir_for
 from repro.devtools.faults import fault_hook
 from repro.errors import CampaignError
+from repro.utils.pool import exit_with_parent
 
 #: worker function used for standard campaign optimize cells.
 OPTIMIZE_CELL_FN = "repro.campaign.cells:run_optimize_cell"
@@ -304,8 +294,13 @@ def execute_cell_with_policy(
 
 
 def _pool_worker_init() -> None:
-    """Mark pool workers so nested-parallelism guards can trigger."""
+    """Mark pool workers so nested-parallelism guards can trigger.
+
+    Workers also exit once this writer is gone, so a crashed or killed
+    writer leaves no orphaned pool behind.
+    """
     os.environ[POOLED_ENV] = "1"
+    exit_with_parent()
 
 
 class _CanonicalAppender:
@@ -658,14 +653,12 @@ def run_cells(
     :mod:`repro.campaign.quarantine`).
 
     *warm_start* (default on, file-backed stores only) maintains the
-    :mod:`repro.campaign.warmstart` sidecars: each cell payload is handed
+    :mod:`repro.campaign.warmstart` sidecar: each cell payload is handed
     the snapshot directory (under :data:`~repro.campaign.warmstart.
     WARMSTART_PAYLOAD_KEY`) so workers seed their pooled evaluator caches
-    from previous runs and persist what they learn, and observed cell
-    runtimes are folded into the ``costs.json`` calibration sidecar that a
-    resuming ``cost`` scheduler loads.  Warm starting never changes any
-    record (caches return exactly what recomputation would); it only
-    removes repeated ground-truth evaluations and improves scheduling.
+    from previous runs and persist what they learn.  Warm starting never
+    changes any record (caches return exactly what recomputation would);
+    it only removes repeated ground-truth evaluations.
     """
     if max_workers < 1:
         raise CampaignError("max_workers must be at least 1")
@@ -683,12 +676,6 @@ def run_cells(
         raise CampaignError("quarantine_after must be >= 1 (or None to disable)")
     policy = resolve_scheduler(scheduler)
     warm_dir = warmstart_dir_for(store) if warm_start else None
-    costs_path = costs_path_for(store) if warm_start else None
-    if costs_path is not None and hasattr(policy, "set_calibration"):
-        calibration = load_costs(costs_path)
-        if calibration:
-            policy.set_calibration(calibration)
-    cost_observations: Dict[Any, Any] = {}
     lease_manager: Optional[LeaseManager] = None
     if lease_ttl_s is not None:
         # Raises for single-writer stores, which have nothing to lease.
@@ -733,17 +720,6 @@ def run_cells(
         # and durability — exactly the window the progress journal covers.
         fault_hook("flush", key=cell_id)
         store.append(record)
-        if costs_path is not None and record.get("status") == "ok":
-            seconds = record.get("cell_seconds")
-            if isinstance(seconds, (int, float)) and not isinstance(
-                seconds, bool
-            ) and seconds > 0:
-                group = _cost_group(record)
-                total, count = cost_observations.get(group, (0.0, 0))
-                cost_observations[group] = (
-                    total + float(seconds) / _cell_budget(record),
-                    count + 1,
-                )
         if record.get("status") != "ok":
             failed.append(cell_id)
             if quarantine_after:
@@ -796,8 +772,6 @@ def run_cells(
         )
         if journal is not None and appender.drained:
             journal.clear()
-    if costs_path is not None and cost_observations:
-        merge_costs(costs_path, cost_observations)
     return EngineSummary(
         total=len(unique),
         skipped=skipped,

@@ -151,32 +151,7 @@ class CostScheduler:
     ) -> None:
         self.flow_weights = dict(flow_weights or DEFAULT_FLOW_WEIGHTS)
         self.evaluator_weights = dict(evaluator_weights or DEFAULT_EVALUATOR_WEIGHTS)
-        self._calibration: Dict[Tuple[str, str, str, str], Tuple[float, int]] = {}
 
-    # ------------------------------------------------------------------ #
-    def set_calibration(
-        self,
-        calibration: Mapping[Tuple[str, str, str, str], Mapping[str, float]],
-    ) -> None:
-        """Fold persisted per-group runtime observations into the model.
-
-        *calibration* maps cost groups to ``{"sum", "count"}`` aggregates
-        of observed per-iteration runtimes — the shape of a ``costs.json``
-        sidecar (:func:`repro.campaign.warmstart.load_costs`).  The engine
-        calls this on resume so a fresh store still schedules with last
-        run's measured runtimes; observations folded here combine with the
-        current store's own records in :meth:`observed_costs`.
-        """
-        cleaned: Dict[Tuple[str, str, str, str], Tuple[float, int]] = {}
-        for group, value in calibration.items():
-            try:
-                total = float(value["sum"])
-                count = int(value["count"])
-            except (KeyError, TypeError, ValueError):
-                continue
-            if count > 0 and total > 0:
-                cleaned[tuple(group)] = (total, count)
-        self._calibration = cleaned
     def static_cost(self, payload: Mapping[str, object]) -> float:
         """Model cost of a cell: design size × flow weight × budget."""
         size = design_size_estimate(payload.get("design", ""))
@@ -189,15 +164,12 @@ class CostScheduler:
     ) -> Dict[Tuple[str, str, str, str], float]:
         """Mean observed per-iteration runtime per calibration group.
 
-        Combines the store's own records with any persisted calibration
-        loaded through :meth:`set_calibration` (both are per-iteration
-        sums/counts, so they merge exactly).
+        The store is the one record of cell runtimes: every successful
+        record carries its ``cell_seconds``, so a resumed run schedules with
+        everything earlier runs measured on the same store.
         """
         sums: Dict[Tuple[str, str, str, str], float] = {}
         counts: Dict[Tuple[str, str, str, str], int] = {}
-        for group, (total, count) in self._calibration.items():
-            sums[group] = total
-            counts[group] = count
         for record in store.latest().values():
             if record.get("status") != "ok":
                 continue

@@ -1,38 +1,29 @@
-"""Warm-start sidecars: PPA cache snapshots and cost-scheduler calibration.
+"""Warm-start sidecar: PPA cache snapshots.
 
 A campaign's result store records *which cells finished*; it says nothing
 about the expensive per-graph PPA work those cells performed along the way.
 A restarted campaign therefore used to resume with stone-cold evaluator
 caches: every pooled session re-mapped and re-timed graphs whose results a
-previous run had already computed.  This module persists the two kinds of
-cheap-but-valuable state next to the store so a resume starts warm:
+previous run had already computed.  This module persists that state next to
+the store so a resume starts warm.
 
-* **Cache snapshots** (``warmstart/`` sidecar directory).  The exact-key
-  result caches of the pooled sessions (:class:`~repro.api.evaluators.
-  CachedEvaluator`'s memo tables) are appended as JSONL entries keyed by
-  ``(context, exact_key)``.  The *context* string is the
-  :func:`~repro.api.evaluators.evaluator_context_key` of the producing
-  evaluator (library content fingerprint + mapping options), so a snapshot
-  written under one library/option configuration can never seed a session
-  evaluating under another: a changed library changes the fingerprint and
-  every stale entry simply stops matching.  Entries are payload-free
-  (delay/area/gate count only): the exact-key results are what turn a
-  resumed optimizer's revisits into cache hits instead of ground-truth
-  evaluations.
-* **Cost calibration** (``costs.json`` sidecar).  Observed per-iteration
-  cell runtimes, summed per ``(design, flow, optimizer, evaluator)``
-  group.  :meth:`~repro.campaign.schedule.CostScheduler.set_calibration`
-  folds them into its observed-cost model, so a resumed (or fresh-store)
-  run schedules with last run's measured runtimes instead of the static
-  size×weight model.
+The exact-key result caches of the pooled sessions
+(:class:`~repro.api.evaluators.CachedEvaluator`'s memo tables) are appended
+to a ``warmstart/`` sidecar directory as JSONL entries keyed by
+``(context, exact_key)``.  The *context* string is the
+:func:`~repro.api.evaluators.evaluator_context_key` of the producing
+evaluator (library content fingerprint + mapping options), so a snapshot
+written under one library/option configuration can never seed a session
+evaluating under another: a changed library changes the fingerprint and
+every stale entry simply stops matching.  Entries are payload-free
+(delay/area/gate count only): the exact-key results are what turn a resumed
+optimizer's revisits into cache hits instead of ground-truth evaluations.
 
-Both sidecars follow the store's multi-writer discipline: snapshot entries
-land in single-writer ``<host>-<pid>-<thread>.jsonl`` files (append-only,
-merged with **sorted** enumeration so the merge order is deterministic),
-and ``costs.json`` is merged read-modify-write through an atomic rename —
-concurrent writers may lose each other's increments but can never corrupt
-the file.  All persistence here is best-effort: an unreadable or
-unwritable sidecar degrades to a cold start, never to a failed cell.
+The sidecar follows the store's multi-writer discipline: entries land in
+single-writer ``<host>-<pid>-<thread>.jsonl`` files (append-only, merged
+with **sorted** enumeration so the merge order is deterministic).  All
+persistence here is best-effort: an unreadable or unwritable sidecar
+degrades to a cold start, never to a failed cell.
 """
 
 from __future__ import annotations
@@ -48,9 +39,6 @@ from repro.evaluation import PpaResult
 
 #: sidecar directory name for cache snapshots under a sharded store.
 WARMSTART_DIRNAME = "warmstart"
-
-#: sidecar file name for cost calibration next to a sharded store.
-COSTS_FILENAME = "costs.json"
 
 #: payload key through which the engine hands workers the snapshot directory.
 WARMSTART_PAYLOAD_KEY = "_warmstart_dir"
@@ -100,17 +88,6 @@ def warmstart_dir_for(store: Any) -> Optional[Path]:
     if hasattr(store, "shard_paths"):
         return path / WARMSTART_DIRNAME
     return path.with_name(path.name + ".warmstart")
-
-
-def costs_path_for(store: Any) -> Optional[Path]:
-    """Cost-calibration sidecar path of *store*, or ``None`` when in-memory."""
-    path = getattr(store, "path", None)
-    if path is None:
-        return None
-    path = Path(path)
-    if hasattr(store, "shard_paths"):
-        return path / COSTS_FILENAME
-    return path.with_name(path.name + ".costs.json")
 
 
 # --------------------------------------------------------------------------- #
@@ -294,90 +271,3 @@ def ground_truth_evaluations(pool: Any) -> int:
         if stats is not None:
             total += stats.misses
     return total
-
-
-# --------------------------------------------------------------------------- #
-# Cost calibration sidecar
-# --------------------------------------------------------------------------- #
-def load_costs(
-    path: Union[str, Path],
-) -> Dict[Tuple[str, str, str, str], Dict[str, float]]:
-    """Parse a ``costs.json`` sidecar into ``{group: {"sum", "count"}}``.
-
-    Group keys are stored as JSON-encoded four-element lists.  Malformed
-    files or entries yield an empty/partial mapping — calibration is an
-    optimisation, never a correctness input.
-    """
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
-        return {}
-    if not isinstance(raw, dict):
-        return {}
-    costs: Dict[Tuple[str, str, str, str], Dict[str, float]] = {}
-    for key, value in raw.items():
-        try:
-            group = json.loads(key)
-        except json.JSONDecodeError:
-            continue
-        if not (
-            isinstance(group, list)
-            and len(group) == 4
-            and all(isinstance(part, str) for part in group)
-            and isinstance(value, dict)
-        ):
-            continue
-        total = value.get("sum")
-        count = value.get("count")
-        if (
-            isinstance(total, (int, float))
-            and isinstance(count, (int, float))
-            and not isinstance(total, bool)
-            and not isinstance(count, bool)
-            and count > 0
-            and total > 0
-        ):
-            costs[tuple(group)] = {"sum": float(total), "count": int(count)}
-    return costs
-
-
-def merge_costs(
-    path: Union[str, Path],
-    observations: Mapping[Tuple[str, str, str, str], Tuple[float, int]],
-) -> None:
-    """Fold new per-group (sum, count) observations into a costs sidecar.
-
-    Read-merge-write through an atomic rename: a concurrent writer's
-    increments may be lost to the race (the sums are scheduling hints, not
-    results), but the file is always a complete, valid JSON document.
-    Best-effort: an unwritable sidecar is silently skipped.
-    """
-    path = Path(path)
-    merged = load_costs(path)
-    for group, (total, count) in observations.items():
-        if count <= 0 or total <= 0:
-            continue
-        current = merged.get(tuple(group), {"sum": 0.0, "count": 0})
-        merged[tuple(group)] = {
-            "sum": current["sum"] + float(total),
-            "count": current["count"] + int(count),
-        }
-    if not merged:
-        return
-    document = {
-        json.dumps(list(group)): value for group, value in merged.items()
-    }
-    tmp = path.with_name(f"{path.name}.{_writer_name()}.tmp")
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(
-            json.dumps(document, sort_keys=True, indent=1) + "\n",
-            encoding="utf-8",
-        )
-        os.replace(tmp, path)
-    except OSError:
-        try:
-            tmp.unlink()
-        except OSError:
-            pass

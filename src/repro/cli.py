@@ -618,9 +618,8 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_run.add_argument(
         "--no-warm-start",
         action="store_true",
-        help="disable the warm-start sidecars next to the store (PPA cache "
-        "snapshots seeded into worker sessions on resume, and observed "
-        "runtime calibration for the cost scheduler); results are "
+        help="disable the warm-start sidecar next to the store (PPA cache "
+        "snapshots seeded into worker sessions on resume); results are "
         "identical either way, cold resumes just recompute more",
     )
     campaign_run.set_defaults(handler=_cmd_campaign_run)

@@ -9,7 +9,7 @@ model exists to replace inside the optimization loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.aig.graph import Aig
 from repro.evaluation import Evaluator, GroundTruthEvaluator, PpaResult
@@ -39,13 +39,11 @@ class Labeler:
     def __init__(
         self,
         library: Optional[CellLibrary] = None,
-        progress: Optional[Callable[[int, int], None]] = None,
         evaluator: Optional[Evaluator] = None,
     ) -> None:
         self._evaluator: Evaluator = (
             evaluator if evaluator is not None else GroundTruthEvaluator(library)
         )
-        self._progress = progress
 
     @property
     def library(self) -> CellLibrary:
@@ -60,15 +58,8 @@ class Labeler:
     def label(self, design: str, aigs: Sequence[Aig]) -> List[LabeledSample]:
         """Label every AIG in *aigs* with its post-mapping delay and area."""
         aigs = list(aigs)
-        total = len(aigs)
-        if self._progress is None:
-            # Batch path: lets cached/parallel evaluators dedupe and fan out.
-            results = self._evaluator.evaluate_many(aigs)
-        else:
-            results = []
-            for index, aig in enumerate(aigs):
-                results.append(self._evaluator.evaluate(aig))
-                self._progress(index + 1, total)
+        # One batch: lets cached/parallel evaluators dedupe and fan out.
+        results = self._evaluator.evaluate_many(aigs)
         samples: List[LabeledSample] = []
         for aig, result in zip(aigs, results):
             samples.append(

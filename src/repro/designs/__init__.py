@@ -4,7 +4,6 @@ from repro.designs.arithmetic import (
     array_multiplier,
     equality,
     full_adder,
-    half_adder,
     less_than,
     ripple_adder,
     ripple_subtractor,
@@ -51,7 +50,6 @@ __all__ = [
     "equality",
     "full_adder",
     "grow_to_target",
-    "half_adder",
     "less_than",
     "mixing_layer",
     "multiplier_design",

@@ -15,11 +15,6 @@ from repro.aig.literals import CONST0
 from repro.errors import DesignError
 
 
-def half_adder(aig: Aig, a: int, b: int) -> Tuple[int, int]:
-    """Return ``(sum, carry)`` of two literals."""
-    return aig.add_xor(a, b), aig.add_and(a, b)
-
-
 def full_adder(aig: Aig, a: int, b: int, cin: int) -> Tuple[int, int]:
     """Return ``(sum, carry)`` of three literals."""
     ab = aig.add_xor(a, b)
@@ -91,11 +86,3 @@ def equality(aig: Aig, a: Sequence[int], b: Sequence[int]) -> int:
         raise DesignError(f"comparator operand widths differ: {len(a)} vs {len(b)}")
     bits = [aig.add_xnor(bit_a, bit_b) for bit_a, bit_b in zip(a, b)]
     return aig.add_and_multi(bits)
-
-
-def add_constant(aig: Aig, a: Sequence[int], constant: int) -> List[int]:
-    """Add an integer constant to a bus (modulo the bus width)."""
-    const_bits = [(1 if (constant >> i) & 1 else 0) for i in range(len(a))]
-    const_lits = [bit for bit in const_bits]
-    total, _ = ripple_adder(aig, list(a), const_lits)
-    return total

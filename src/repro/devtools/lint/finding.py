@@ -12,8 +12,8 @@ by an occurrence index assigned in line order.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Dict, List
+from dataclasses import dataclass
+from typing import Dict
 
 
 @dataclass(frozen=True)
@@ -59,12 +59,3 @@ class Finding:
             "snippet": self.snippet,
             "fingerprint": self.fingerprint(),
         }
-
-
-@dataclass
-class FileReport:
-    """All findings produced for one file, pre-baseline."""
-
-    path: str
-    findings: List[Finding] = field(default_factory=list)
-    parse_error: bool = False

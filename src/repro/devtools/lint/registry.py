@@ -76,10 +76,3 @@ def all_rules() -> List[Type[Rule]]:
     from repro.devtools.lint.rules import concurrency, determinism  # noqa: F401
 
     return [_REGISTRY[rule_id] for rule_id in sorted(_REGISTRY)]
-
-
-def get_rule(rule_id: str) -> Type[Rule]:
-    for cls in all_rules():
-        if cls.rule_id == rule_id:
-            return cls
-    raise KeyError(rule_id)

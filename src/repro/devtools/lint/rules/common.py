@@ -77,10 +77,3 @@ def in_order_neutral_context(ctx, node: ast.AST) -> bool:
             return False
         child = ancestor
     return False
-
-
-def call_attr_name(node: ast.AST) -> Optional[str]:
-    """``m`` for a ``<expr>.m(...)`` call node, else ``None``."""
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-        return node.func.attr
-    return None

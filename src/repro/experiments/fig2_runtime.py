@@ -6,9 +6,9 @@ mapping and STA) on the eight benchmark designs and observes slowdowns of up
 to roughly 20x, growing with design size.  This experiment measures the same
 two quantities per design with the SA engine's stage timers.  Each design is
 one campaign-engine cell, so the sweep is resumable from a file-backed (or
-sharded) store and fans across a process pool like any other suite run; the
-cells deliberately build *fresh* flows and evaluators — runtime is the
-quantity being measured, so nothing here may come out of a warm cache.
+sharded) store and fans across a process pool like any other suite run; every
+timed burst builds *fresh* flows and evaluators — runtime is the quantity
+being measured, so no PPA result may come out of a warm cache.
 
 Note on absolute ratios: the paper's transformations run inside ABC (C code),
 so its per-iteration baseline cost is very small; in this pure-Python stack
@@ -36,6 +36,9 @@ from repro.opt.annealing import AnnealingConfig
 from repro.opt.flows import BaselineFlow, GroundTruthFlow, measure_iteration_runtime
 
 _CELL_FN = "repro.experiments.fig2_runtime:run_fig2_cell"
+
+#: timed SA bursts per flow; each flow reports its fastest.
+TIMED_BURSTS = 3
 
 
 @dataclass
@@ -96,28 +99,40 @@ class Fig2Result:
 def run_fig2_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Time baseline vs ground-truth iterations on one design.
 
-    Flows and evaluators are built fresh inside the cell: the measured
+    Flows and evaluators are built fresh for every burst: the measured
     quantity *is* the from-scratch per-iteration cost, so warm worker
-    sessions must not serve it.
+    sessions must not serve it.  Both flows run the same seeded transforms,
+    whose resynthesis memos are process-wide, so one untimed burst of each
+    flow warms those first; otherwise whichever flow ran first would pay
+    them for both.  Each flow then reports its fastest of
+    :data:`TIMED_BURSTS` interleaved bursts, which drops host-jitter
+    outliers.
     """
     name = str(payload["design"])
     iterations = int(payload["iterations"])
     seed = int(payload["seed"])
     aig = build_design(name)
     run_config = AnnealingConfig(iterations=iterations, keep_history=False)
-    base_rt = measure_iteration_runtime(
-        BaselineFlow(), aig, iterations=iterations, rng=seed, config=run_config
-    )
-    gt_rt = measure_iteration_runtime(
-        GroundTruthFlow(), aig, iterations=iterations, rng=seed, config=run_config
-    )
+
+    def burst(flow_cls) -> float:
+        return measure_iteration_runtime(
+            flow_cls(), aig, iterations=iterations, rng=seed, config=run_config
+        ).total_seconds
+
+    flows = (BaselineFlow, GroundTruthFlow)
+    for flow_cls in flows:
+        burst(flow_cls)
+    timed = {flow_cls: [] for flow_cls in flows}
+    for _ in range(TIMED_BURSTS):
+        for flow_cls in flows:
+            timed[flow_cls].append(burst(flow_cls))
     return {
         "design": name,
         # The cost scheduler normalises observed runtimes by this budget.
         "iterations": iterations,
         "num_ands": aig.num_ands,
-        "baseline_seconds": base_rt.total_seconds,
-        "ground_truth_seconds": gt_rt.total_seconds,
+        "baseline_seconds": min(timed[BaselineFlow]),
+        "ground_truth_seconds": min(timed[GroundTruthFlow]),
     }
 
 

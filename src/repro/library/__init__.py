@@ -2,7 +2,7 @@
 
 from repro.library.cell import Cell, PinTiming
 from repro.library.expr import parse_expression
-from repro.library.genlib import parse_genlib, read_genlib
+from repro.library.genlib import parse_genlib
 from repro.library.library import CellLibrary, Match, cell_variants
 from repro.library.sky130_lite import (
     DEFAULT_PO_LOAD_FF,
@@ -21,5 +21,4 @@ __all__ = [
     "load_sky130_lite",
     "parse_expression",
     "parse_genlib",
-    "read_genlib",
 ]

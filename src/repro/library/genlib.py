@@ -14,14 +14,11 @@ referenced by the expression must be declared, and vice versa.
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import List, Tuple, Union
+from typing import List, Tuple
 
 from repro.errors import ParseError
 from repro.library.cell import Cell, PinTiming
 from repro.library.expr import parse_expression
-
-PathLike = Union[str, Path]
 
 
 def parse_genlib(text: str) -> List[Cell]:
@@ -112,8 +109,3 @@ def _parse_pin_line(line: str, line_number: int) -> PinTiming:
         intrinsic_ps=intrinsic,
         resistance_ps_per_ff=resistance,
     )
-
-
-def read_genlib(path: PathLike) -> List[Cell]:
-    """Read and parse a genlib-lite file."""
-    return parse_genlib(Path(path).read_text(encoding="utf-8"))

@@ -25,6 +25,7 @@ survive any combination of crashes and resumes.
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -51,6 +52,14 @@ def slow_cell(payload):
     time.sleep(float(payload.get("sleep_s", 0.3)))
     x = int(payload["x"])
     return {"value": x * x + 1, "name": payload["name"]}
+
+
+def pid_cell(payload):
+    """Appends the executing process id to ``pid_log``, then sleeps."""
+    with open(payload["pid_log"], "a", encoding="utf-8") as handle:
+        handle.write(f"{os.getpid()}\n")
+    time.sleep(float(payload["sleep_s"]))
+    return {"name": payload["name"]}
 
 
 def flaky_cell(payload):

@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -297,3 +299,95 @@ def test_cost_scheduler_crash_resume_re_executes_nothing(tmp_path):
         for cell in cells
     ]
     assert merged == _reference_canonical(reference_cells)
+
+
+# --------------------------------------------------------------------------- #
+# A dead pool owner takes its pool workers with it
+# --------------------------------------------------------------------------- #
+needs_proc = pytest.mark.skipif(
+    not Path("/proc/self/stat").exists(), reason="reads process states from /proc"
+)
+
+
+def _running(pid):
+    """Whether *pid* is a live process (a zombie awaiting its reaper is not)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text(encoding="utf-8")
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def _wait_for_pids(path, count):
+    """Poll *path* (one pid per line) for up to 60 s until it lists *count*."""
+    for _ in range(600):
+        if path.exists():
+            pids = {int(token) for token in path.read_text(encoding="utf-8").split()}
+            if len(pids) >= count:
+                return pids
+        time.sleep(0.1)
+    raise AssertionError(f"{path} never listed {count} pool workers")
+
+
+def _kill_owner_and_watch(owner, pid_file, count):
+    """Kill -9 *owner* once its pool is up; its workers must exit within 10 s."""
+    workers = set()
+    try:
+        workers = _wait_for_pids(pid_file, count)
+        owner.kill()
+        owner.wait(timeout=30)
+        for _ in range(100):
+            if not any(_running(pid) for pid in workers):
+                break
+            time.sleep(0.1)
+        survivors = sorted(pid for pid in workers if _running(pid))
+        assert not survivors, f"pool workers outlived their owner: {survivors}"
+    finally:
+        if owner.poll() is None:
+            owner.kill()
+            owner.wait(timeout=30)
+        for pid in workers:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
+
+
+@pytest.mark.slow
+@needs_proc
+def test_killed_writer_leaves_no_pool_workers(tmp_path):
+    pid_log = tmp_path / "pids.log"
+    config = _write_config(
+        tmp_path,
+        "cfg",
+        store=str(tmp_path / "store.jsonl"),
+        cells=_cells(4, "fabric_driver:pid_cell", pid_log=str(pid_log), sleep_s=60.0),
+        workers=2,
+    )
+    writer = _launch(config, tmp_path / "writer.log", _driver_env())
+    try:
+        _kill_owner_and_watch(writer, pid_log, 2)
+    finally:
+        writer._log_handle.close()
+
+
+@pytest.mark.slow
+@needs_proc
+def test_killed_parallel_evaluator_owner_leaves_no_pool_workers(tmp_path):
+    pid_file = tmp_path / "pids.log"
+    code = (
+        "import multiprocessing, time\n"
+        "from pathlib import Path\n"
+        "from repro.aig.random_graphs import random_aig\n"
+        "from repro.api.evaluators import ParallelEvaluator\n"
+        "evaluator = ParallelEvaluator(max_workers=2)\n"
+        "evaluator.evaluate_many([random_aig(5, 3, 30, rng=i) for i in range(4)])\n"
+        "pids = [child.pid for child in multiprocessing.active_children()]\n"
+        f"Path({str(pid_file)!r}).write_text(' '.join(map(str, pids)))\n"
+        "time.sleep(120)\n"
+    )
+    owner = subprocess.Popen(
+        [sys.executable, "-c", code],
+        env=_driver_env(),
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    _kill_owner_and_watch(owner, pid_file, 2)

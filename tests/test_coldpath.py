@@ -1,10 +1,9 @@
-"""Differential suite for the cold-path simulation kernel.
+"""Differential suite for the output simulation kernel.
 
-Wave-coalesced simulation (:func:`repro.aig.simulate.simulate_pos`) must
-produce exactly the packed-integer reference values on both sides of the
-:data:`~repro.aig.simulate.SCALAR_WAVE_WIDTH` boundary — deep narrow
-graphs, wide shallow graphs, and mixed wide+chain shapes, at pattern
-counts that exercise full and partial tail lanes.
+:func:`repro.aig.simulate.simulate_pos` must produce exactly the values of
+a plain per-variable reference evaluation on deep narrow graphs, wide
+shallow graphs (level widths on both sides of 256), and mixed wide+chain
+shapes, at pattern counts that are and are not multiples of 64.
 """
 
 from __future__ import annotations
@@ -14,17 +13,13 @@ import random
 import pytest
 
 from repro.aig.graph import Aig
-from repro.aig.simulate import (
-    SCALAR_WAVE_WIDTH,
-    literal_values,
-    random_pi_patterns,
-    simulate,
-    simulate_pos,
-)
+from repro.aig.simulate import random_pi_patterns, simulate_pos
+
+WIDE = 256
 
 
 # --------------------------------------------------------------------------- #
-# Wave-coalesced simulation at the width boundary
+# Graph shapes
 # --------------------------------------------------------------------------- #
 def _deep_chain(depth: int) -> Aig:
     """Depth-*depth* graph whose every level is one node wide."""
@@ -84,64 +79,44 @@ def _wide_then_chain(width: int, tail: int) -> Aig:
 
 
 def _reference_po_values(aig, pi_values, num_patterns):
-    values = simulate(aig, pi_values, num_patterns)
-    return literal_values(aig, values, aig.po_literals(), num_patterns)
+    """Packed PO values from a variable-order walk of the public accessors.
+
+    Independent of the array snapshot and its level order: every AND is
+    evaluated in creation order, which is topological because fanins exist
+    before the node that reads them.
+    """
+    mask = (1 << num_patterns) - 1
+    values = [0] * aig.size
+    for var, word in zip(aig.pi_vars, pi_values):
+        values[var] = word & mask
+
+    def literal_value(lit):
+        value = values[lit >> 1]
+        return ~value & mask if lit & 1 else value
+
+    for var in range(aig.size):
+        if aig.is_and(var):
+            f0, f1 = aig.fanins(var)
+            values[var] = literal_value(f0) & literal_value(f1)
+    return [literal_value(lit) for lit in aig.po_literals()]
 
 
 SHAPES = [
     ("deep_chain", lambda: _deep_chain(600)),
-    ("wide_shallow", lambda: _wide_shallow(SCALAR_WAVE_WIDTH + 40)),
-    ("wide_then_chain", lambda: _wide_then_chain(SCALAR_WAVE_WIDTH + 40, 300)),
-    ("boundary_below", lambda: _wide_shallow(SCALAR_WAVE_WIDTH - 1)),
-    ("boundary_exact", lambda: _wide_shallow(SCALAR_WAVE_WIDTH)),
+    ("wide_shallow", lambda: _wide_shallow(WIDE + 40)),
+    ("wide_then_chain", lambda: _wide_then_chain(WIDE + 40, 300)),
+    ("boundary_below", lambda: _wide_shallow(WIDE - 1)),
+    ("boundary_exact", lambda: _wide_shallow(WIDE)),
 ]
 
 
 @pytest.mark.parametrize("name,builder", SHAPES)
 @pytest.mark.parametrize("num_patterns", [64, 256, 320, 512])
 def test_simulate_pos_matches_packed_reference(name, builder, num_patterns):
-    """simulate_pos == packed-int simulate + literal_values, bit for bit.
-
-    64 patterns stay below the lane threshold (pure scalar), 256 is one
-    exact lane word per 64 patterns, 320 and 512 exercise partial and
-    multiple tail words through the hybrid path.
-    """
+    """simulate_pos == the reference evaluation, bit for bit."""
     aig = builder()
     rng = random.Random(sum(map(ord, name)))
     pi_values = random_pi_patterns(aig.num_pis, num_patterns, rng)
     got = simulate_pos(aig, pi_values, num_patterns)
     expected = _reference_po_values(aig, pi_values, num_patterns)
     assert got == expected, f"shape={name} patterns={num_patterns}"
-
-
-def test_simulation_plan_classifies_waves_by_width():
-    """Narrow levels coalesce into scalar segments; wide levels vectorize."""
-    import importlib
-
-    sim = importlib.import_module("repro.aig.simulate")
-
-    chain = _deep_chain(500)
-    segments, vector_nodes = sim._simulation_plan(chain.arrays())
-    assert vector_nodes == 0
-    assert [kind for kind, *_ in segments] == ["int"]
-
-    wide = _wide_shallow(SCALAR_WAVE_WIDTH + 40)
-    segments, vector_nodes = sim._simulation_plan(wide.arrays())
-    assert vector_nodes == wide.num_ands
-    assert [kind for kind, *_ in segments] == ["vec"]
-
-    mixed = _wide_then_chain(SCALAR_WAVE_WIDTH + 40, 300)
-    segments, vector_nodes = sim._simulation_plan(mixed.arrays())
-    kinds = [kind for kind, *_ in segments]
-    assert "vec" in kinds and "int" in kinds
-    assert 0 < vector_nodes < mixed.num_ands
-
-
-def test_simulation_plan_is_cached_per_arrays():
-    import importlib
-
-    sim = importlib.import_module("repro.aig.simulate")
-    aig = _wide_then_chain(SCALAR_WAVE_WIDTH + 10, 100)
-    arrays = aig.arrays()
-    first = sim._simulation_plan(arrays)
-    assert sim._simulation_plan(arrays) is first

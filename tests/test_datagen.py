@@ -99,12 +99,6 @@ class TestLabeler:
         assert samples[0].area_um2 > 0
         assert samples[0].design == "add4"
 
-    def test_progress_callback_invoked(self, adder_aig):
-        calls = []
-        labeler = Labeler(progress=lambda done, total: calls.append((done, total)))
-        labeler.label("add4", [adder_aig, adder_aig.clone()])
-        assert calls == [(1, 2), (2, 2)]
-
 
 class TestDatasetGenerator:
     @pytest.fixture(scope="class")

@@ -15,7 +15,11 @@ import random
 
 import pytest
 
+from repro.aig import cut_arrays
+from repro.aig.cuts import enumerate_cuts
+from repro.aig.graph import Aig
 from repro.aig.random_graphs import random_aig
+from repro.aig.simulate import cone_truth_table
 from repro.library.genlib import parse_genlib
 from repro.library.library import CellLibrary
 from repro.library.sky130_lite import load_sky130_lite
@@ -135,3 +139,62 @@ def test_dp_stats_account_for_every_and(library):
     assert stats.used_vectorized
     assert stats.total_ands == aig.num_ands
     assert stats.vector_nodes + stats.scalar_nodes == stats.total_ands
+
+
+def _wide_wave_aig():
+    """24 PIs, 600 ANDs over the PIs, 600 ANDs over those: two wide waves.
+
+    The first layer takes all four polarities of 150 PI pairs.  Half of the
+    second layer ANDs two such siblings, whose shared PI pair is a strict
+    subset of the siblings' mixed cuts, so the prune has cuts to drop.
+    """
+    rng = random.Random(515)
+    aig = Aig("wide")
+    pis = [aig.add_pi() for _ in range(24)]
+    pairs = rng.sample([(i, j) for i in range(24) for j in range(i + 1, 24)], 150)
+    first = [
+        aig.add_and(pis[i] ^ (neg & 1), pis[j] ^ (neg >> 1))
+        for i, j in pairs
+        for neg in range(4)
+    ]
+    siblings = [
+        (4 * pair + a, 4 * pair + b) for pair in range(150) for a, b in ((0, 1), (2, 3))
+    ]
+    mixed = rng.sample(
+        [(i, j) for i in range(600) for j in range(i + 1, 600) if i // 4 != j // 4],
+        300,
+    )
+    for i, j in siblings + mixed:
+        aig.add_po(aig.add_and(first[i], first[j] ^ rng.getrandbits(1)))
+    return aig
+
+
+def test_wide_wave_cut_prune_matches_scalar(library, monkeypatch):
+    """Waves wider than the subset-lookup limit take the pairwise prune."""
+    aig = _wide_wave_aig()
+    widths = [len(group) for group in aig.arrays().and_level_groups()]
+    assert max(widths) > cut_arrays._MAX_LOOKUP_WAVE, widths
+
+    options = MappingOptions()
+    k, max_cuts = options.cut_size, options.max_cuts_per_node
+    arrays_cuts = cut_arrays.build_cut_arrays(aig, k, max_cuts)
+    scalar_cuts = enumerate_cuts(aig, k, max_cuts, include_trivial=True)
+    for var in range(aig.size):
+        rows = arrays_cuts.node_rows(var)
+        leaves = [
+            tuple(
+                int(leaf)
+                for leaf in arrays_cuts.leaves[row]
+                if leaf != cut_arrays.SENTINEL
+            )
+            for row in rows
+        ]
+        assert leaves == [cut.leaves for cut in scalar_cuts[var]], var
+        tables = [int(arrays_cuts.tables[row]) for row in rows]
+        assert tables == [
+            cone_truth_table(aig, var * 2, cut) for cut in leaves
+        ], var
+
+    scalar, vector, stats = _map_both(aig, library, options, monkeypatch)
+    assert stats.used_vectorized
+    assert _netlist_signature(vector) == _netlist_signature(scalar)

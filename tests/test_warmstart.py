@@ -1,4 +1,4 @@
-"""Warm-start sidecar tests: snapshot round-trips, invalidation, costs.
+"""Warm-start sidecar tests: snapshot round-trips, invalidation, resumes.
 
 The acceptance bar for warm-start persistence is behavioural: a resumed
 campaign seeded from a snapshot must perform strictly fewer ground-truth
@@ -22,11 +22,8 @@ from repro.campaign import (
     CampaignSpec,
     ResultStore,
     ShardedResultStore,
-    costs_path_for,
     engine_cells,
     ground_truth_evaluations,
-    load_costs,
-    merge_costs,
     run_cells,
     save_snapshot,
     seed_session,
@@ -80,15 +77,12 @@ def _aigs(count: int, base: int = 0):
 def test_sidecar_locations(tmp_path):
     sharded = ShardedResultStore(tmp_path / "store")
     assert warmstart_dir_for(sharded) == tmp_path / "store" / "warmstart"
-    assert costs_path_for(sharded) == tmp_path / "store" / "costs.json"
 
     single = ResultStore(tmp_path / "run.jsonl")
     assert warmstart_dir_for(single) == tmp_path / "run.jsonl.warmstart"
-    assert costs_path_for(single) == tmp_path / "run.jsonl.costs.json"
 
     memory = ResultStore()
     assert warmstart_dir_for(memory) is None
-    assert costs_path_for(memory) is None
 
 
 def test_snapshot_sidecar_invisible_to_shard_enumeration(tmp_path):
@@ -194,13 +188,13 @@ def _fresh_worker_pool():
     session_module._WORKER_SESSION_POOLS.pool = None
 
 
-def _spec():
+def _spec(seeds=(1, 2)):
     return CampaignSpec(
         designs=("EX00",),
         flows=("baseline",),
         optimizers=("greedy",),
         evaluators=("cached",),
-        seeds=(1, 2),
+        seeds=seeds,
         iterations=6,
     )
 
@@ -213,7 +207,6 @@ def test_run_cells_maintains_sidecars_and_warm_resume_wins(tmp_path):
     assert summary.ok
     warm_dir = warmstart_dir_for(store)
     assert warm_dir.is_dir() and load_entries(warm_dir)
-    assert load_costs(costs_path_for(store))
 
     def resume(warm: bool):
         _fresh_worker_pool()
@@ -254,7 +247,6 @@ def test_run_cells_warm_start_off_leaves_no_sidecars(tmp_path):
     summary = run_cells(engine_cells(_spec()), store, warm_start=False)
     assert summary.ok
     assert not warmstart_dir_for(store).exists()
-    assert not costs_path_for(store).exists()
     _fresh_worker_pool()
 
 
@@ -266,48 +258,46 @@ def test_in_memory_store_never_gets_sidecars():
 
 
 # --------------------------------------------------------------------------- #
-# Cost calibration sidecar
+# Cost scheduling on resume: the store is the one record of cell runtimes
 # --------------------------------------------------------------------------- #
-def test_costs_round_trip_and_merge(tmp_path):
-    path = tmp_path / "costs.json"
-    group = ("EX00", "baseline", "greedy", "cached")
-    merge_costs(path, {group: (1.5, 3)})
-    assert load_costs(path) == {group: {"sum": 1.5, "count": 3}}
-    # Merging folds sums and counts like a shard merge.
-    merge_costs(path, {group: (0.5, 1)})
-    assert load_costs(path) == {group: {"sum": 2.0, "count": 4}}
-    # Corrupt files degrade to empty calibration.
-    path.write_text("not json")
-    assert load_costs(path) == {}
+def _resume_schedule(root, open_store):
+    """Run two seeds, resume with four; check the resumed schedule's costs."""
+    store = open_store()
+    summary = run_cells(engine_cells(_spec()), store, scheduler="cost")
+    assert summary.ok
+    records = list(store.latest().values())
+    assert {record["iterations"] for record in records} == {6}
+    mean = sum(record["cell_seconds"] / 6.0 for record in records) / len(records)
 
+    seen = []
 
-def test_cost_scheduler_uses_persisted_calibration(tmp_path):
-    spec = _spec()
-    cells = engine_cells(spec)
-    group = ("EX00", "baseline", "greedy", "cached")
-    scheduler = CostScheduler()
-    store = ResultStore()
-    # Static model: no observations anywhere.
-    static = scheduler.expected_costs(cells, store)
-    scheduler.set_calibration({group: {"sum": 10.0, "count": 2}})
-    calibrated = scheduler.expected_costs(cells, store)
-    # iterations=6 => per-iteration mean 5.0 * budget 6 = 30.0 per cell.
-    assert calibrated == [30.0] * len(cells)
-    assert calibrated != static
+    class Recording(CostScheduler):
+        def order(self, cells, store):
+            seen.append(self.expected_costs(cells, store))
+            return super().order(cells, store)
+
+    # Resume on a reopened store with two more seeds: the pending cells'
+    # expected costs come from the first run's records alone.
+    resumed = run_cells(
+        engine_cells(_spec(seeds=(1, 2, 3, 4))), open_store(), scheduler=Recording()
+    )
+    assert resumed.ok
+    assert (resumed.skipped, resumed.executed) == (2, 2)
+    assert seen == [pytest.approx([mean * 6.0] * 2)]
+    assert seen[0] != CostScheduler().expected_costs(
+        engine_cells(_spec(seeds=(1, 2, 3, 4)))[2:], ResultStore()
+    )
+    # The store and the warm-start snapshots are all that is on disk.
+    assert not [path for path in sorted(root.rglob("*")) if "costs" in path.name]
+    _fresh_worker_pool()
 
 
 def test_run_cells_loads_costs_into_cost_scheduler(tmp_path):
-    store = ShardedResultStore(tmp_path / "store")
-    summary = run_cells(engine_cells(_spec()), store, scheduler="cost")
-    assert summary.ok
-    costs = load_costs(costs_path_for(store))
-    assert costs
-    # A fresh store + the sidecar: the scheduler starts calibrated.
-    scheduler = CostScheduler()
-    scheduler.set_calibration(costs)
-    fresh = ResultStore()
-    expected = scheduler.expected_costs(engine_cells(_spec()), fresh)
-    group = ("EX00", "baseline", "greedy", "cached")
-    mean = costs[group]["sum"] / costs[group]["count"]
-    assert expected == [mean * 6.0] * len(expected)
-    _fresh_worker_pool()
+    _resume_schedule(
+        tmp_path / "sharded",
+        lambda: ShardedResultStore(tmp_path / "sharded" / "store"),
+    )
+    _resume_schedule(
+        tmp_path / "single",
+        lambda: ResultStore(tmp_path / "single" / "store.jsonl"),
+    )
