@@ -27,6 +27,12 @@ batches:
   detected exactly, and those rare cuts fall back to the scalar
   :func:`~repro.aig.simulate.cone_truth_table` walk.
 
+Graphs over :data:`MAX_VECTOR_GRAPH_SIZE` variables fill the same rows from
+:func:`~repro.aig.cuts.enumerate_cuts` and
+:func:`~repro.aig.simulate.cone_truth_table` instead: their variable ids
+overflow the packed 13-bit sort key, and the interior bitmasks would cost
+``O(rows x variables)`` bits.
+
 The result is cached on the graph's :class:`~repro.aig.arrays.AigArrays`
 snapshot (``dp_cache``), i.e. with the same lifetime and sharing rules as
 the scalar cut cache.  ``tests/test_dp_arrays.py`` holds the differential
@@ -39,20 +45,22 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro.aig.cuts import enumerate_cuts
 from repro.aig.graph import Aig
 from repro.aig.simulate import cone_truth_table
 from repro.errors import AigError
 
 #: Leaf-column padding.  Chosen as ``2**13 - 1`` so a whole ``(size,
 #: leaves)`` sort key packs into one int64 (13 bits per leaf, pads sort
-#: last); the array path therefore requires every variable id to stay
-#: below it (see :data:`MAX_VECTOR_GRAPH_SIZE`).
+#: last); the wave batches therefore require every variable id to stay
+#: below it (see :data:`MAX_VECTOR_GRAPH_SIZE`).  Columns past a row's
+#: size hold it on larger graphs too, where it can also be a real id.
 SENTINEL = 8191
 
-#: Largest graph (variable count) the array path accepts.  Bounded by the
+#: Largest graph (variable count) the wave batches serve.  Bounded by the
 #: 13-bit leaf packing above — and interior bitmasks cost
-#: ``O(cuts * size / 8)`` bytes, so huge graphs are better served by the
-#: scalar enumeration anyway.
+#: ``O(cuts * size / 8)`` bytes — so larger graphs take their rows from
+#: the scalar cut lists.
 MAX_VECTOR_GRAPH_SIZE = SENTINEL
 
 #: Full truth-table masks indexed by support size 0..4.
@@ -130,7 +138,9 @@ class CutArrays:
     Row layout: one row per cut; rows of a variable are contiguous
     (``start[var] .. start[var] + count[var]``), non-trivial cuts first in
     ``(size, leaves)`` order, trivial cut last — the exact per-node order of
-    :func:`~repro.aig.cuts.merge_node_cuts`.
+    :func:`~repro.aig.cuts.merge_node_cuts`.  The constant node and the PIs
+    come first, then the AND nodes wave by wave, in
+    ``and_level_groups()`` order.
     """
 
     __slots__ = (
@@ -209,16 +219,62 @@ def build_cut_arrays(aig: Aig, k: int, max_cuts_per_node: int) -> CutArrays:
     if not 2 <= k <= 4:
         raise AigError(f"array cut enumeration supports 2 <= k <= 4, got {k}")
     arrays = aig.arrays()
-    if arrays.size > MAX_VECTOR_GRAPH_SIZE:
-        raise AigError(
-            f"array cut enumeration limited to {MAX_VECTOR_GRAPH_SIZE} "
-            f"variables, got {arrays.size}"
-        )
     cache_key = ("cuts", k, max_cuts_per_node)
     cached = arrays.dp_cache.get(cache_key)
     if cached is not None:
         return cached  # type: ignore[return-value]
+    if arrays.size > MAX_VECTOR_GRAPH_SIZE:
+        result = _rows_from_cut_lists(aig, k, max_cuts_per_node)
+    else:
+        result = _rows_from_waves(aig, k, max_cuts_per_node)
+    # repro-lint: ignore[C2] -- build_cut_arrays is the owner populating
+    # dp_cache (first write of this key), mirroring enumerate_cuts.
+    arrays.dp_cache[cache_key] = result
+    return result
 
+
+def _rows_from_cut_lists(aig: Aig, k: int, max_cuts_per_node: int) -> CutArrays:
+    """The rows of :func:`build_cut_arrays`, copied from the scalar cut lists."""
+    arrays = aig.arrays()
+    cuts = enumerate_cuts(aig, k, max_cuts_per_node, include_trivial=True)
+    leaves: List[Tuple[int, ...]] = []
+    sizes: List[int] = []
+    tables: List[int] = []
+    start = np.zeros(arrays.size, dtype=np.int64)
+    count = np.zeros(arrays.size, dtype=np.int64)
+
+    def emit(var: int) -> None:
+        start[var] = len(leaves)
+        count[var] = len(cuts[var])
+        for cut in cuts[var]:
+            leaves.append(cut.leaves + (SENTINEL,) * (4 - cut.size))
+            sizes.append(cut.size)
+            tables.append(cut.truth_table(aig))
+
+    for var in [0] + arrays.pi_vars.tolist():
+        emit(var)
+    wave_row_ranges: List[Tuple[int, int]] = []
+    for nodes in arrays.and_level_groups():
+        begin = len(leaves)
+        for var in nodes.tolist():
+            emit(var)
+        wave_row_ranges.append((begin, len(leaves)))
+    return CutArrays(
+        size=arrays.size,
+        leaves=np.asarray(leaves, dtype=np.int64),
+        sizes=np.asarray(sizes, dtype=np.int64),
+        tables=np.asarray(tables, dtype=np.int64),
+        start=start,
+        count=count,
+        num_rows=len(leaves),
+        hazard_fallbacks=0,
+        wave_row_ranges=wave_row_ranges,
+    )
+
+
+def _rows_from_waves(aig: Aig, k: int, max_cuts_per_node: int) -> CutArrays:
+    """The rows of :func:`build_cut_arrays`, merged a level wave at a time."""
+    arrays = aig.arrays()
     size = arrays.size
     num_words = (size + 63) >> 6 if size else 1
     capacity = 1 + len(arrays.pi_vars) + aig.num_ands * (max_cuts_per_node + 1)
@@ -446,7 +502,7 @@ def build_cut_arrays(aig: Aig, k: int, max_cuts_per_node: int) -> CutArrays:
                     )
                 interior_buf[dest] = row_interior
 
-    result = CutArrays(
+    return CutArrays(
         size=size,
         leaves=leaves_buf[:cursor],
         sizes=sizes_buf[:cursor],
@@ -457,12 +513,3 @@ def build_cut_arrays(aig: Aig, k: int, max_cuts_per_node: int) -> CutArrays:
         hazard_fallbacks=hazard_fallbacks,
         wave_row_ranges=wave_row_ranges,
     )
-    # repro-lint: ignore[C2] -- build_cut_arrays is the owner populating
-    # dp_cache (first write of this key), mirroring enumerate_cuts.
-    arrays.dp_cache[cache_key] = result
-    return result
-
-
-def cut_arrays_supported(aig: Aig, k: int) -> bool:
-    """Whether the array enumeration path applies to this graph."""
-    return 2 <= k <= 4 and aig.size <= MAX_VECTOR_GRAPH_SIZE

@@ -245,14 +245,6 @@ class SynthesisSession:
             return self._evaluator.stats
         return None
 
-    @property
-    def evaluator_stats(self) -> Optional[Any]:
-        """Whatever work counters the evaluator exposes (``stats``), if any.
-
-        :class:`CachedEvaluator` reports hit/miss counts.
-        """
-        return getattr(self._evaluator, "stats", None)
-
     @staticmethod
     def flows() -> List[str]:
         """Names of the registered optimization flows."""

@@ -56,6 +56,3 @@ class PragmaIndex:
     def suppresses(self, line: int, rule_id: str) -> bool:
         rules = self._by_line.get(line, frozenset())
         return rule_id in rules or "*" in rules
-
-    def suppressed_lines(self) -> Dict[int, FrozenSet[str]]:
-        return dict(self._by_line)

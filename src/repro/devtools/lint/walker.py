@@ -77,7 +77,6 @@ class FileContext:
         self.memoized_apis = memoized_apis
         self.findings: List[Finding] = []
         # Traversal state maintained by the walker:
-        self.class_stack: List[ast.ClassDef] = []
         self.func_stack: List[ast.AST] = []
         # Parent links for the whole tree, built up front so rules may ask
         # for ancestors of nodes the depth-first dispatch has not reached.
@@ -104,9 +103,6 @@ class FileContext:
 
     def enclosing_function(self) -> Optional[ast.AST]:
         return self.func_stack[-1] if self.func_stack else None
-
-    def enclosing_class(self) -> Optional[ast.ClassDef]:
-        return self.class_stack[-1] if self.class_stack else None
 
 
 _FUNC_TYPES = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -140,17 +136,12 @@ def walk_file(
             for rule in interested:
                 rule.visit(node, ctx)
         is_func = isinstance(node, _FUNC_TYPES)
-        is_class = isinstance(node, ast.ClassDef)
         if is_func:
             ctx.func_stack.append(node)
-        if is_class:
-            ctx.class_stack.append(node)
         for child in ast.iter_child_nodes(node):
             visit(child)
         if is_func:
             ctx.func_stack.pop()
-        if is_class:
-            ctx.class_stack.pop()
 
     visit(tree)
     for rule in rules:

@@ -116,8 +116,8 @@ def _corpora_travel_inline() -> bool:
 
     try:
         return multiprocessing.get_start_method() != "fork"
-    # repro-lint: ignore[C3] -- capability probe: an exotic platform with
-    # no start method gets the conservative default (assume spawn).
+    # repro-lint: ignore[C3] -- capability probe: a platform with
+    # no start method at all gets the conservative default (assume spawn).
     except Exception:  # pragma: no cover - platform without a start method
         return True
 

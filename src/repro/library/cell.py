@@ -69,20 +69,6 @@ class Cell:
         """Input pin names in pin order."""
         return [pin.name for pin in self.pins]
 
-    @property
-    def max_pin_capacitance_ff(self) -> float:
-        """Largest input-pin capacitance (used for load estimation)."""
-        if not self.pins:
-            return 0.0
-        return max(pin.capacitance_ff for pin in self.pins)
-
-    @property
-    def mean_pin_capacitance_ff(self) -> float:
-        """Average input-pin capacitance."""
-        if not self.pins:
-            return 0.0
-        return sum(pin.capacitance_ff for pin in self.pins) / len(self.pins)
-
     def worst_delay_ps(self, load_ff: float) -> float:
         """Slowest pin-to-output delay at the given load."""
         if not self.pins:

@@ -227,14 +227,6 @@ class CellLibrary:
                 items.append((num_vars, table, bucket[table]))
         return items
 
-    def total_variant_count(self) -> int:
-        """Number of (function, match) entries in the index (for diagnostics)."""
-        return sum(
-            len(matches)
-            for bucket in self._match_index.values()
-            for matches in bucket.values()
-        )
-
     def summary(self) -> str:
         """Human-readable library overview."""
         lines = [f"Library {self.name}: {len(self.cells)} cells"]

@@ -1,8 +1,9 @@
-"""Vectorized cut-evaluation DP for the technology mapper.
+"""The technology mapper's cut-selection DP, as batched array reductions.
 
-:meth:`TechnologyMapper._select_choices` evaluates every (cut, match)
-candidate of every AND node with nested Python loops.  This module computes
-the same DP as batched array reductions:
+:meth:`TechnologyMapper.map <repro.mapping.mapper.TechnologyMapper.map>`
+chooses, for every AND node, the cut and realisation with the least
+estimated arrival (delay mode) or area flow (area mode).  This module is
+that DP, for every node of every graph:
 
 * a module-level **reduction LUT** maps every 4-variable truth table to its
   support mask and support-reduced table in one gather (smaller cuts are
@@ -11,27 +12,30 @@ the same DP as batched array reductions:
   Boolean match index out as contiguous arrays: per match row the pin→leaf
   permutation, pin inverter delays, pin delays at the estimated load, and
   the exact scalar-accumulated area base (cell area plus inverter areas in
-  scalar addition order);
+  scalar addition order).  Four pseudo rows lead it: the constants 0 and 1
+  (no pin) and the single-input alias, plain and negated (one pin, plus
+  the inverter's delay and area when negated), so constant and alias cuts
+  are scored by the same gather as cell matches;
 * per graph snapshot, a **candidate layout** (:class:`CandidateLayout`)
   expands every matchable cut of every node into candidate rows (term leaf
   ids, delay addends, flow leaf ids) — cached on ``AigArrays.dp_cache``
-  because it is independent of fanout counts and mapping mode;
+  because it is independent of fanout counts and mapping mode.  A node none
+  of whose cuts matches takes its structural fanin-pair cut, which matches
+  an AND-family cell in any sane library; when that fails too, the layout
+  raises :class:`~repro.errors.MappingError`;
 * the **wave DP** walks level waves; per wave one gather + reduction chain
-  scores all candidates and a stable lexsort picks, per node, the scalar
-  tie-break winner: the scalar loop keeps the first strictly-better
-  candidate over (cut order, match order), which is exactly the
-  lexicographic minimum of ``(key0, key1, candidate position)``.
+  scores all candidates and a stable lexsort picks, per node, the first
+  strictly better candidate over (cut order, match order), which is exactly
+  the lexicographic minimum of ``(key0, key1, candidate position)``.
 
-Float exactness: the scalar evaluation is replicated operation for
-operation — ``t = arrival[leaf]; t += inv_delay?; t += pin_delay`` becomes
-two separate array adds, leaf flows accumulate in support order with
-``+0.0`` pads (exact: flows are never ``-0.0``), and column sums are written
-as sequential binary adds, never ``ndarray.sum`` (pairwise association
-would differ).  Nodes the vectorized path does not model — constant cuts,
-single-input aliases, nodes with no matchable cut — fall back per node to
-the scalar :meth:`TechnologyMapper._choose_for_node`, which stays the
-reference implementation.  ``tests/test_dp_arrays.py`` asserts bit-equal
-choices, arrivals, and netlists against the scalar path.
+Float exactness: the per-candidate arithmetic is the plain scalar
+evaluation, operation for operation — ``t = arrival[leaf]; t +=
+inv_delay?; t += pin_delay`` becomes two separate array adds, leaf flows
+accumulate in support order with ``+0.0`` pads (exact: flows are never
+``-0.0``), and column sums are written as sequential binary adds, never
+``ndarray.sum`` (pairwise association would differ).  That scalar chooser
+is kept in ``tests/mapping_oracle.py``, and ``tests/test_dp_arrays.py``
+asserts bit-equal netlists against it.
 """
 
 from __future__ import annotations
@@ -41,14 +45,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.aig.cut_arrays import (
-    SENTINEL,
-    CutArrays,
-    build_cut_arrays,
-    cut_arrays_supported,
-)
-from repro.aig.cuts import Cut
+from repro.aig.cut_arrays import SENTINEL, CutArrays, build_cut_arrays
 from repro.aig.graph import Aig
+from repro.aig.simulate import cone_truth_table
+from repro.errors import MappingError
 from repro.library.library import CellLibrary
 
 _NEG_INF = float("-inf")
@@ -108,12 +108,20 @@ def _luts() -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return _LUTS
 
 
+#: Match rows of the pseudo classes that lead every :class:`MatchTables`:
+#: constant 0, constant 1, the alias, and the negated alias.
+_ALIAS, _ALIAS_NEG, _PSEUDO_ROWS = 2, 3, 4
+
+
 class MatchTables:
     """A library's Boolean match index, flattened for array evaluation.
 
     One row per (function class, match) pair, clamped to the first
     ``max_matches`` matches per class — the same prefix of the
-    (num_inverters, area)-sorted match list the scalar loop visits.
+    (num_inverters, area)-sorted match list the scalar chooser visits.  Rows
+    0-3 are the pseudo classes (one row each, no :class:`Match`): a
+    zero-support table is a constant with no pin, and a one-support table
+    an alias whose one pin adds the inverter's delay and area if negated.
     """
 
     __slots__ = (
@@ -135,14 +143,17 @@ class MatchTables:
         self.inv_delay = inv_cell.worst_delay_ps(load_ff)
         self.inv_area = inv_cell.area_um2
         self.classid = np.full((5, 65536), -1, dtype=np.int32)
-        starts: List[int] = []
-        counts: List[int] = []
-        p2l: List[List[int]] = []
-        inv_add: List[List[float]] = []
-        pdelay: List[List[float]] = []
-        out_add: List[float] = []
-        base: List[float] = []
-        self.matches: List = []
+        # Pseudo classes, indexed by (support size, reduced table).
+        self.classid[0, 0], self.classid[0, 1] = 0, 1
+        self.classid[1, 0b10], self.classid[1, 0b01] = _ALIAS, _ALIAS_NEG
+        starts: List[int] = list(range(_PSEUDO_ROWS))
+        counts: List[int] = [1] * _PSEUDO_ROWS
+        p2l: List[List[int]] = [[0, 0, 0, 0]] * _PSEUDO_ROWS
+        inv_add: List[List[float]] = [[0.0] * 4] * 3 + [[self.inv_delay, 0.0, 0.0, 0.0]]
+        pdelay: List[List[float]] = [[0.0] * 4] * _PSEUDO_ROWS
+        out_add: List[float] = [0.0] * _PSEUDO_ROWS
+        base: List[float] = [0.0] * 3 + [self.inv_area]
+        self.matches: List = [None] * _PSEUDO_ROWS
         for num_vars, table, matches in library.match_index_items():
             if not 2 <= num_vars <= 4:
                 continue
@@ -221,17 +232,11 @@ class CandidateLayout:
         "area_base",
         "flow_leaf",
         "flow_active",
-        "sup_leaf",
-        "sup_cnt",
         "wave_bounds",
-        "exotic_mask",
-        "num_matchable_cuts",
     )
 
     def __init__(self, aig: Aig, ca: CutArrays, mt: MatchTables) -> None:
-        reduced_lut, supmask_lut, suppos_lut, supcnt_lut = _luts()
         arrays = aig.arrays()
-        size = arrays.size
         start = ca.start
         count = ca.count
         and_vars = arrays.and_vars
@@ -252,43 +257,49 @@ class CandidateLayout:
         # Per-row owning variable, via rows sorted by block start.
         order_vars = np.argsort(start, kind="stable")
         node_of_row = np.repeat(order_vars, count[order_vars])
-        row_node = node_of_row[rows]
 
-        padded = ca.tables[rows] * _PAD_MULT[ca.sizes[rows]]
-        supmask = supmask_lut[padded]
-        reduced = reduced_lut[padded]
-        sup_cnt = supcnt_lut[supmask]
-        cid = np.where(
-            sup_cnt >= 2, mt.classid[sup_cnt.clip(0, 4), reduced], -1
-        )
+        cid, supmask = _classify(mt, ca.tables[rows], ca.sizes[rows])
+        usable = cid >= 0
+        sel_rows = rows[usable]
+        sel_node = node_of_row[sel_rows]
+        sel_cid = cid[usable]
+        sel_mask = supmask[usable]
+        sel_leaves = ca.leaves[sel_rows]
 
-        # Nodes with a constant or single-input (alias) cut take the scalar
-        # reference path wholesale: those candidates never enter the arrays.
-        exotic_rows = sup_cnt <= 1
-        exotic_mask = np.zeros(size, dtype=bool)
-        exotic_mask[row_node[exotic_rows]] = True
-        self.exotic_mask = exotic_mask
+        # A node none of whose cuts matches takes its fanin-pair cut, as a
+        # candidate of its trivial row (the last of its block).
+        covered = np.zeros(arrays.size, dtype=bool)
+        covered[sel_node] = True
+        bare = and_vars[~covered[and_vars]]
+        if len(bare):
+            pair_leaves, pair_tables, pair_sizes = _fanin_pair_cuts(aig, bare)
+            pair_cid, pair_mask = _classify(mt, pair_tables, pair_sizes)
+            if (pair_cid < 0).any():
+                var = int(bare[np.argmax(pair_cid < 0)])
+                raise MappingError(
+                    f"no match found for node {var}; the library is missing basic cells"
+                )
+            sel_rows = np.concatenate((sel_rows, start[bare] + count[bare] - 1))
+            merged = np.argsort(sel_rows, kind="stable")
+            sel_rows = sel_rows[merged]
+            sel_node = np.concatenate((sel_node, bare))[merged]
+            sel_cid = np.concatenate((sel_cid, pair_cid))[merged]
+            sel_mask = np.concatenate((sel_mask, pair_mask))[merged]
+            sel_leaves = np.concatenate((sel_leaves, pair_leaves))[merged]
 
-        usable = (cid >= 0) & ~exotic_mask[row_node]
-        sel = np.nonzero(usable)[0]
-        sel_rows = rows[sel]
-        sel_node = row_node[sel]
-        sel_cid = cid[sel]
-        sel_cnt = sup_cnt[sel]
-        self.num_matchable_cuts = len(sel)
-
-        # Support-ordered leaf columns per selected cut row.
-        pos = suppos_lut[supmask[sel]]
-        row_leaves = ca.leaves[sel_rows]
-        sup_leaf = row_leaves[np.arange(len(sel))[:, None], pos]
-        self.sup_leaf = sup_leaf
-        self.sup_cnt = sel_cnt
+        # Support-ordered leaf columns per selected cut.
+        _reduced, _supmask, suppos_lut, supcnt_lut = _luts()
+        num_sel = len(sel_rows)
+        sup_leaf = sel_leaves[
+            np.arange(num_sel)[:, None], suppos_lut[sel_mask]
+        ]
+        sel_cnt = supcnt_lut[sel_mask]
 
         # Expand matches: one candidate row per (cut, match) pair, in the
         # scalar visit order (cut rows ascending, match prefix order).
         mc = mt.match_count[sel_cid]
         num_cand = int(mc.sum())
-        cut_of = np.repeat(np.arange(len(sel), dtype=np.int64), mc)
+        cut_of = np.repeat(np.arange(num_sel, dtype=np.int64), mc)
         local = np.arange(num_cand, dtype=np.int64) - np.repeat(
             np.cumsum(mc) - mc, mc
         )
@@ -302,8 +313,8 @@ class CandidateLayout:
         self.term_leaf = sup_of_cand[np.arange(num_cand)[:, None], p2l]
         self.term_add0 = mt.pin_inv_add[mrow]
         self.term_add1 = mt.pin_delay[mrow]
-        # Active pin columns: every cell pin (num_inputs == support size of
-        # its class by construction of the match index).
+        # Active pin columns: every pin of the cell or pseudo class
+        # (num_inputs == support size of its class by construction).
         self.term_active = (
             np.arange(4, dtype=np.int64)[None, :] < sel_cnt[cut_of][:, None]
         )
@@ -321,6 +332,36 @@ class CandidateLayout:
         bounds = np.searchsorted(self.cand_cut, np.asarray(edges, dtype=np.int64))
         self.wave_bounds = bounds.reshape(-1, 2)
         self.cut_arrays = ca
+
+
+def _classify(
+    mt: MatchTables, tables: np.ndarray, sizes: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(match class or -1, support mask) of each cut's table."""
+    reduced_lut, supmask_lut, _suppos, supcnt_lut = _luts()
+    padded = tables * _PAD_MULT[sizes]
+    supmask = supmask_lut[padded]
+    return mt.classid[supcnt_lut[supmask], reduced_lut[padded]], supmask
+
+
+def _fanin_pair_cuts(
+    aig: Aig, nodes: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(padded leaves, tables, sizes) of each node's fanin-pair cut."""
+    f0v, f1v = aig.arrays().fanin_var_lists()
+    leaves: List[Tuple[int, ...]] = []
+    tables: List[int] = []
+    sizes: List[int] = []
+    for var in nodes.tolist():
+        pair = tuple(sorted({f0v[var], f1v[var]}))
+        leaves.append(pair + (SENTINEL,) * (4 - len(pair)))
+        tables.append(cone_truth_table(aig, var * 2, pair))
+        sizes.append(len(pair))
+    return (
+        np.asarray(leaves, dtype=np.int64),
+        np.asarray(tables, dtype=np.int64),
+        np.asarray(sizes, dtype=np.int64),
+    )
 
 
 def candidate_layout(
@@ -343,73 +384,47 @@ def candidate_layout(
 
 @dataclass
 class DpStats:
-    """What the vectorized DP actually did (the CI bench gate reads this)."""
+    """Work counters of one DP run."""
 
-    used_vectorized: bool
     total_ands: int = 0
     vector_nodes: int = 0
-    scalar_nodes: int = 0
     hazard_fallbacks: int = 0
-    reason: str = ""
 
 
 @dataclass
 class DpResult:
-    """Full-DP output, structurally identical to the scalar DP's state."""
+    """The chosen implementation of every AND node, and the work counters."""
 
     choices: Dict[int, object]
-    arrival: List[Optional[float]]
-    area_flow: List[Optional[float]]
-    cut_arrays: CutArrays
     stats: DpStats
 
 
-def _node_cuts_from_arrays(ca: CutArrays, var: int) -> List[Cut]:
-    """Materialise one node's scalar cut list from the array form."""
-    begin = int(ca.start[var])
-    rows = range(begin, begin + int(ca.count[var]))
-    leaves = ca.leaves[list(rows)].tolist()
-    sizes = ca.sizes[list(rows)].tolist()
-    return [
-        Cut(var, tuple(row[:row_size]))
-        for row, row_size in zip(leaves, sizes)
-    ]
+def try_full_dp(mapper, aig: Aig) -> DpResult:
+    """Choose the cut and realisation of every AND node of *aig*.
 
-
-def try_full_dp(mapper, aig: Aig) -> Optional[DpResult]:
-    """Run the full mapping DP with array batching, or ``None`` if the
-    configuration is unsupported (caller falls back to the scalar loop).
-
-    The result is bit-identical to :meth:`TechnologyMapper._select_choices`:
-    same choices (same Match objects), same arrival and area-flow floats.
+    The choices (same Match objects) are the scalar chooser's: per node,
+    the first candidate with the least key over (cut order, match order),
+    the fanin-pair cut when no listed cut matches.
     """
     opts = mapper.options
-    k = mapper.cut_size
-    if not cut_arrays_supported(aig, k):
-        return None
-
     layout = candidate_layout(
         aig,
-        k,
+        mapper.cut_size,
         opts.max_cuts_per_node,
         mapper.library,
         opts.estimated_load_ff,
         opts.max_matches_per_cut,
     )
-    ca = layout.cut_arrays
     mt = match_tables(
         mapper.library, opts.estimated_load_ff, opts.max_matches_per_cut
     )
     arrays = aig.arrays()
     size = arrays.size
-    fanout = aig.fanout_counts()
-    fan_clip = np.maximum(np.asarray(fanout, dtype=np.int64), 1)
+    fan_clip = np.maximum(np.asarray(aig.fanout_counts(), dtype=np.int64), 1)
 
     arrival = np.zeros(size, dtype=np.float64)
     area_flow = np.zeros(size, dtype=np.float64)
     flow_div = np.zeros(size, dtype=np.float64)
-    chosen: Dict[int, object] = {}
-    got = np.zeros(size, dtype=bool)
     delay_mode = opts.mode == "delay"
 
     term_leaf = layout.term_leaf
@@ -423,106 +438,77 @@ def try_full_dp(mapper, aig: Aig) -> Optional[DpResult]:
     cand_node = layout.cand_node
     winner_cands: List[np.ndarray] = []
     winner_nodes: List[np.ndarray] = []
-    scalar_nodes = 0
 
-    wave_groups = arrays.and_level_groups()
-    for wave_index, nodes in enumerate(wave_groups):
-        lo, hi = layout.wave_bounds[wave_index]
-        if hi > lo:
-            sl = slice(lo, hi)
-            t = arrival[term_leaf[sl]] + term_add0[sl]
-            t += term_add1[sl]
-            t = np.where(term_active[sl], t, _NEG_INF)
-            cand_arr = t.max(axis=1)
-            np.maximum(cand_arr, 0.0, out=cand_arr)
-            cand_arr += out_add[sl]
-            f = np.where(flow_active[sl], flow_div[flow_leaf[sl]], 0.0)
-            flow = f[:, 0] + f[:, 1]
-            flow += f[:, 2]
-            flow += f[:, 3]
-            cand_area = area_base[sl] + flow
-            w_node = cand_node[sl]
-            if delay_mode:
-                order = np.lexsort((cand_area, cand_arr, w_node))
-            else:
-                order = np.lexsort((cand_arr, cand_area, w_node))
-            ordered_nodes = w_node[order]
-            first = np.empty(len(order), dtype=bool)
-            first[0] = True
-            first[1:] = ordered_nodes[1:] != ordered_nodes[:-1]
-            win = order[first]
-            win_nodes = ordered_nodes[first]
-            arrival[win_nodes] = cand_arr[win]
-            area_flow[win_nodes] = cand_area[win]
-            got[win_nodes] = True
-            winner_cands.append(win + lo)
-            winner_nodes.append(win_nodes)
-
-        rest = nodes[~got[nodes]]
-        if len(rest):
-            scalar_nodes += len(rest)
-            for var in rest.tolist():
-                choice, cand_arrival, cand_area_v = mapper._choose_for_node(
-                    aig,
-                    var,
-                    _node_cuts_from_arrays(ca, var),
-                    arrival,
-                    area_flow,
-                    fanout,
-                )
-                chosen[var] = choice
-                arrival[var] = cand_arrival
-                area_flow[var] = cand_area_v
+    # Every node of a wave has a candidate, so every wave has a winner per
+    # node, in ascending variable order.
+    for lo, hi in layout.wave_bounds.tolist():
+        sl = slice(lo, hi)
+        t = arrival[term_leaf[sl]] + term_add0[sl]
+        t += term_add1[sl]
+        t = np.where(term_active[sl], t, _NEG_INF)
+        cand_arr = t.max(axis=1)
+        np.maximum(cand_arr, 0.0, out=cand_arr)
+        cand_arr += out_add[sl]
+        f = np.where(flow_active[sl], flow_div[flow_leaf[sl]], 0.0)
+        flow = f[:, 0] + f[:, 1]
+        flow += f[:, 2]
+        flow += f[:, 3]
+        cand_area = area_base[sl] + flow
+        w_node = cand_node[sl]
+        if delay_mode:
+            order = np.lexsort((cand_area, cand_arr, w_node))
+        else:
+            order = np.lexsort((cand_arr, cand_area, w_node))
+        ordered_nodes = w_node[order]
+        first = np.empty(len(order), dtype=bool)
+        first[0] = True
+        first[1:] = ordered_nodes[1:] != ordered_nodes[:-1]
+        win = order[first]
+        nodes = ordered_nodes[first]
+        arrival[nodes] = cand_arr[win]
+        area_flow[nodes] = cand_area[win]
         flow_div[nodes] = area_flow[nodes] / fan_clip[nodes]
+        winner_cands.append(win + lo)
+        winner_nodes.append(nodes)
 
-    # Materialise winner choices (match object + support-ordered leaves).
-    _build_winner_choices(layout, mt, winner_cands, winner_nodes, chosen)
-
+    chosen = _winner_choices(layout, mt, winner_cands, winner_nodes)
     and_list = arrays.and_vars.tolist()
-    choices = {var: chosen[var] for var in and_list}
-    arrival_list: List[Optional[float]] = arrival.tolist()
-    area_list: List[Optional[float]] = area_flow.tolist()
-
     stats = DpStats(
-        used_vectorized=True,
         total_ands=len(and_list),
-        vector_nodes=len(and_list) - scalar_nodes,
-        scalar_nodes=scalar_nodes,
-        hazard_fallbacks=ca.hazard_fallbacks,
+        vector_nodes=len(chosen),
+        hazard_fallbacks=layout.cut_arrays.hazard_fallbacks,
     )
-    return DpResult(
-        choices=choices,
-        arrival=arrival_list,
-        area_flow=area_list,
-        cut_arrays=ca,
-        stats=stats,
-    )
+    return DpResult(choices={var: chosen[var] for var in and_list}, stats=stats)
 
 
-def _build_winner_choices(
+def _winner_choices(
     layout: CandidateLayout,
     mt: MatchTables,
     winner_cands: List[np.ndarray],
     winner_nodes: List[np.ndarray],
-    chosen: Dict[int, object],
-) -> None:
-    """Attach CellChoice objects for every vectorized winner."""
-    from repro.mapping.mapper import CellChoice
+) -> Dict[int, object]:
+    """The node choice of every winning candidate, keyed by node."""
+    from repro.mapping.mapper import AliasChoice, CellChoice, ConstantChoice
 
     if not winner_cands:
-        return
+        return {}
     wins = np.concatenate(winner_cands)
     nodes = np.concatenate(winner_nodes)
-    # Candidate -> its cut's support leaves: recover the selected-cut index
-    # of each candidate by position (cand arrays were built cut-major).
-    # layout.flow_leaf rows ARE the support leaves of the candidate's cut.
+    # layout.flow_leaf rows are the support leaves of the candidate's cut,
+    # and its active flow columns count them.
     leaves_rows = layout.flow_leaf[wins].tolist()
-    # Per-candidate support count: number of active flow columns.
     cnt_rows = layout.flow_active[wins].sum(axis=1).tolist()
     match_rows = layout.cand_match[wins].tolist()
+    chosen: Dict[int, object] = {}
     for var, leaves, cnt, mrow in zip(
         nodes.tolist(), leaves_rows, cnt_rows, match_rows
     ):
-        chosen[var] = CellChoice(
-            match=mt.matches[mrow], leaves=tuple(leaves[:cnt])
-        )
+        if mrow >= _PSEUDO_ROWS:
+            chosen[var] = CellChoice(
+                match=mt.matches[mrow], leaves=tuple(leaves[:cnt])
+            )
+        elif mrow >= _ALIAS:
+            chosen[var] = AliasChoice(leaf=leaves[0], negated=mrow == _ALIAS_NEG)
+        else:
+            chosen[var] = ConstantChoice(value=mrow)
+    return chosen

@@ -104,23 +104,6 @@ class MappedNetlist:
             histogram[gate.cell.name] = histogram.get(gate.cell.name, 0) + 1
         return histogram
 
-    def driver_of(self) -> Dict[int, MappedGate]:
-        """Map each net to the gate driving it (PIs/constants have no entry)."""
-        drivers: Dict[int, MappedGate] = {}
-        for gate in self.gates:
-            if gate.output in drivers:
-                raise MappingError(f"net {gate.output} has multiple drivers")
-            drivers[gate.output] = gate
-        return drivers
-
-    def consumers_of(self) -> Dict[int, List[MappedGate]]:
-        """Map each net to the gates consuming it."""
-        consumers: Dict[int, List[MappedGate]] = {}
-        for gate in self.gates:
-            for net in gate.inputs:
-                consumers.setdefault(net, []).append(gate)
-        return consumers
-
     def net_fanout_counts(self) -> Dict[int, int]:
         """Fanout (consumer pin count + PO connections) per net."""
         counts: Dict[int, int] = {net: 0 for net in range(self._next_net)}

@@ -39,10 +39,11 @@ from repro.aig.simulate import (
     simulate,
 )
 from repro.errors import AigError
-from repro.mapping import dp_arrays
 from repro.mapping.mapper import TechnologyMapper
 from repro.sta.analysis import analyze_timing
 from repro.transforms.engine import apply_script
+
+from mapping_oracle import ScalarMapper
 
 _sim_module = importlib.import_module("repro.aig.simulate")
 
@@ -163,7 +164,7 @@ def test_vectorized_simulation_kernel_bit_identical(seed):
 
 
 @pytest.mark.parametrize("seed", range(0, 50, 5))
-def test_arraycore_mapping_parity(seed, library, monkeypatch):
+def test_arraycore_mapping_parity(seed, library):
     """The array-core mapping DP and the scalar reference DP agree
     gate-for-gate and in timing, before and after a transform script."""
     aig = _random_case(seed)
@@ -171,11 +172,10 @@ def test_arraycore_mapping_parity(seed, library, monkeypatch):
     graphs = (aig, transformed)
 
     mapper = TechnologyMapper(library)
-    vector_netlists = [mapper.map(graph) for graph in graphs]
-    monkeypatch.setattr(dp_arrays, "try_full_dp", lambda mapper, aig: None)
-    for graph, netlist in zip(graphs, vector_netlists):
-        scalar = mapper.map(graph)
-        assert not mapper.last_dp_stats.used_vectorized
+    oracle = ScalarMapper(library)
+    for graph in graphs:
+        netlist = mapper.map(graph)
+        scalar = oracle.map(graph)
         assert scalar.gates == netlist.gates
         assert scalar.area_um2() == netlist.area_um2()
         report = analyze_timing(netlist)

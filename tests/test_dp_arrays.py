@@ -1,12 +1,11 @@
 """Differential suite: vectorized mapping DP == scalar DP, bit for bit.
 
-The array-batched cold-map DP (:mod:`repro.mapping.dp_arrays`) is only
+The array-batched mapping DP (:mod:`repro.mapping.dp_arrays`) is only
 allowed to exist because this suite holds: across random AIGs, two cell
 libraries, and both mapping modes, the vectorized path must reproduce the
 scalar reference DP exactly — same per-node arrivals, same emitted gates,
-same nets, same floats.  Patching ``dp_arrays.try_full_dp`` to return
-``None`` forces the reference implementation; the differential cases run
-both and compare.
+same nets, same floats.  The reference is :class:`mapping_oracle.ScalarMapper`;
+the differential cases map with both and compare.
 """
 
 from __future__ import annotations
@@ -20,12 +19,15 @@ from repro.aig.cuts import enumerate_cuts
 from repro.aig.graph import Aig
 from repro.aig.random_graphs import random_aig
 from repro.aig.simulate import cone_truth_table
+from repro.errors import MappingError
 from repro.library.genlib import parse_genlib
 from repro.library.library import CellLibrary
 from repro.library.sky130_lite import load_sky130_lite
 from repro.mapping import dp_arrays
 from repro.mapping.mapper import MappingOptions, TechnologyMapper
 from repro.sta.analysis import analyze_timing
+
+from mapping_oracle import ScalarMapper
 
 # A deliberately different library: other delays, other areas, a skewed
 # cell mix — so parity cannot hinge on sky130-lite's particular tie-break
@@ -77,30 +79,22 @@ def _netlist_signature(netlist):
     )
 
 
-def _map_both(aig, library, options, monkeypatch):
-    """(scalar netlist, vector netlist, vector DpStats) for one config."""
-    vector_dp = dp_arrays.try_full_dp
-    monkeypatch.setattr(dp_arrays, "try_full_dp", lambda mapper, aig: None)
-    scalar_mapper = TechnologyMapper(library, options)
-    scalar = scalar_mapper.map(aig)
-    assert scalar_mapper.last_dp_stats is not None
-    assert not scalar_mapper.last_dp_stats.used_vectorized
-
-    monkeypatch.setattr(dp_arrays, "try_full_dp", vector_dp)
-    vector_mapper = TechnologyMapper(library, options)
-    vector = vector_mapper.map(aig)
-    return scalar, vector, vector_mapper.last_dp_stats
+def _map_both(aig, library, options):
+    """(oracle netlist, vector netlist, oracle mapper) for one config."""
+    oracle = ScalarMapper(library, options)
+    scalar = oracle.map(aig)
+    vector = TechnologyMapper(library, options).map(aig)
+    return scalar, vector, oracle
 
 
 @pytest.mark.parametrize("seed", range(12))
 @pytest.mark.parametrize("mode", ["delay", "area"])
-def test_vectorized_dp_matches_scalar_sky130(seed, mode, library, monkeypatch):
+def test_vectorized_dp_matches_scalar_sky130(seed, mode, library):
     aig = _case(seed)
     options = MappingOptions(mode=mode)
-    scalar, vector, stats = _map_both(aig, library, options, monkeypatch)
+    scalar, vector, _oracle = _map_both(aig, library, options)
     context = f"seed={seed} mode={mode}"
     assert _netlist_signature(vector) == _netlist_signature(scalar), context
-    assert stats is not None and stats.used_vectorized, context
     # Timing must agree bit for bit too (same gates on same nets).
     ref = analyze_timing(scalar, po_load_ff=library.po_load_ff)
     got = analyze_timing(vector, po_load_ff=library.po_load_ff)
@@ -108,37 +102,47 @@ def test_vectorized_dp_matches_scalar_sky130(seed, mode, library, monkeypatch):
     assert vector.area_um2() == scalar.area_um2(), context
 
 
-@pytest.mark.parametrize("seed", range(6))
-@pytest.mark.parametrize("mode", ["delay", "area"])
+#: (seed, mode, cut size, cuts per node).  At one cut per node some nodes
+#: of these graphs list no cut the alt library matches (an XOR, say), so
+#: they take their fanin-pair cut.
+_ALT_CASES = [
+    pytest.param(seed, mode, 4, 10, id=f"{mode}-{seed}")
+    for seed in range(6)
+    for mode in ("delay", "area")
+] + [
+    pytest.param(seed, mode, cut_size, 1, id=f"{mode}-{seed}-k{cut_size}-one-cut")
+    for seed, cut_size in ((20, 2), (180, 3))
+    for mode in ("delay", "area")
+]
+
+
+@pytest.mark.parametrize("seed, mode, cut_size, max_cuts", _ALT_CASES)
 def test_vectorized_dp_matches_scalar_alt_library(
-    seed, mode, alt_library, monkeypatch
+    seed, mode, cut_size, max_cuts, alt_library
 ):
     aig = _case(100 + seed)
-    options = MappingOptions(mode=mode)
-    scalar, vector, stats = _map_both(aig, alt_library, options, monkeypatch)
-    context = f"seed={seed} mode={mode} lib=alt"
+    options = MappingOptions(
+        mode=mode, cut_size=cut_size, max_cuts_per_node=max_cuts
+    )
+    scalar, vector, oracle = _map_both(aig, alt_library, options)
+    context = f"seed={seed} mode={mode} k={cut_size} cuts={max_cuts} lib=alt"
     assert _netlist_signature(vector) == _netlist_signature(scalar), context
-    assert stats is not None and stats.used_vectorized, context
+    if max_cuts == 1:
+        assert oracle.fanin_pair_nodes, context
 
 
 @pytest.mark.parametrize("cut_size", [2, 3, 4])
-def test_vectorized_dp_matches_scalar_across_cut_sizes(
-    cut_size, library, monkeypatch
-):
+def test_vectorized_dp_matches_scalar_across_cut_sizes(cut_size, library):
     aig = _case(200 + cut_size)
     options = MappingOptions(cut_size=cut_size)
-    scalar, vector, _stats = _map_both(aig, library, options, monkeypatch)
+    scalar, vector, _oracle = _map_both(aig, library, options)
     assert _netlist_signature(vector) == _netlist_signature(scalar)
 
 
 def test_dp_stats_account_for_every_and(library):
     aig = _case(400)
-    mapper = TechnologyMapper(library)
-    mapper.map(aig)
-    stats = mapper.last_dp_stats
-    assert stats.used_vectorized
-    assert stats.total_ands == aig.num_ands
-    assert stats.vector_nodes + stats.scalar_nodes == stats.total_ands
+    stats = dp_arrays.try_full_dp(TechnologyMapper(library), aig).stats
+    assert stats.vector_nodes == stats.total_ands == aig.num_ands
 
 
 def _wide_wave_aig():
@@ -169,7 +173,7 @@ def _wide_wave_aig():
     return aig
 
 
-def test_wide_wave_cut_prune_matches_scalar(library, monkeypatch):
+def test_wide_wave_cut_prune_matches_scalar(library):
     """Waves wider than the subset-lookup limit take the pairwise prune."""
     aig = _wide_wave_aig()
     widths = [len(group) for group in aig.arrays().and_level_groups()]
@@ -195,6 +199,48 @@ def test_wide_wave_cut_prune_matches_scalar(library, monkeypatch):
             cone_truth_table(aig, var * 2, cut) for cut in leaves
         ], var
 
-    scalar, vector, stats = _map_both(aig, library, options, monkeypatch)
-    assert stats.used_vectorized
+    scalar, vector, _oracle = _map_both(aig, library, options)
     assert _netlist_signature(vector) == _netlist_signature(scalar)
+
+
+@pytest.mark.parametrize("cut_size, max_cuts", [(2, 1), (3, 2), (4, 10)])
+def test_cut_list_rows_match_wave_rows(cut_size, max_cuts):
+    """Graphs over the packed-key limit copy their rows from the scalar cut
+    lists; on a small graph both builders must lay out the same rows."""
+    aig = _case(500 + cut_size)
+    waves = cut_arrays._rows_from_waves(aig, cut_size, max_cuts)
+    lists = cut_arrays._rows_from_cut_lists(aig, cut_size, max_cuts)
+    assert lists.num_rows == waves.num_rows
+    assert lists.wave_row_ranges == waves.wave_row_ranges
+    for field in ("leaves", "sizes", "tables", "start", "count"):
+        assert (getattr(lists, field) == getattr(waves, field)).all(), field
+
+
+def test_vectorized_dp_matches_scalar_over_packed_key_limit(library):
+    """Past 8,191 variables the cut rows come from the scalar cut lists."""
+    aig = random_aig(num_pis=64, num_ands=8300, num_pos=16, rng=random.Random(8191))
+    assert aig.size > cut_arrays.MAX_VECTOR_GRAPH_SIZE
+    for mode in ("delay", "area"):
+        scalar, vector, _oracle = _map_both(aig, library, MappingOptions(mode=mode))
+        assert _netlist_signature(vector) == _netlist_signature(scalar), mode
+
+
+def test_unmatchable_fanin_pair_raises_like_the_oracle():
+    """With no AND-family cell even the fanin-pair cut fails to match."""
+    xor_only = CellLibrary(
+        "xor",
+        parse_genlib(
+            "GATE INVX 1.0 Y=!A;\n  PIN A 1.0 10.0 3.0\n"
+            "GATE XORX 3.0 Y=A^B;\n  PIN A 2.0 20.0 5.0\n  PIN B 2.0 20.0 5.0\n"
+        ),
+    )
+    aig = Aig("and")
+    a, b = aig.add_pi(), aig.add_pi()
+    aig.add_po(aig.add_xor(a, b))
+    aig.add_po(aig.add_and(a, b))
+    messages = []
+    for mapper in (ScalarMapper(xor_only), TechnologyMapper(xor_only)):
+        with pytest.raises(MappingError, match="library is missing basic cells") as info:
+            mapper.map(aig)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
