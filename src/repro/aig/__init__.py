@@ -9,7 +9,7 @@ from repro.aig.analysis import (
     transitive_fanout,
     weighted_po_depths,
 )
-from repro.aig.cuts import Cut, enumerate_cuts, merge_node_cuts
+from repro.aig.cuts import Cut, enumerate_cut_lists, merge_node_cuts
 from repro.aig.equivalence import (
     EquivalenceResult,
     check_equivalence,
@@ -52,7 +52,7 @@ __all__ = [
     "cone_truth_table",
     "count_paths_per_po",
     "critical_path_nodes",
-    "enumerate_cuts",
+    "enumerate_cut_lists",
     "exhaustive_pi_patterns",
     "is_complemented",
     "literal_var",

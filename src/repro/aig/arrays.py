@@ -76,7 +76,6 @@ class AigArrays:
         "_fanout_csr",
         "_fanout_offsets_list",
         "_fanout_consumers_list",
-        "cut_cache",
         "dp_cache",
     )
 
@@ -122,19 +121,13 @@ class AigArrays:
         self._fanout_csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._fanout_offsets_list: Optional[List[int]] = None
         self._fanout_consumers_list: Optional[List[int]] = None
-        # Cut-enumeration results keyed by (k, max_cuts_per_node,
-        # include_trivial); owned by repro.aig.cuts.enumerate_cuts.  Cuts
-        # depend only on the frozen node prefix this snapshot describes, so
-        # the cache is sound for every graph sharing the snapshot.  Cached
-        # structures are shared, never copied: callers must treat them as
-        # immutable.
-        self.cut_cache: Dict[Tuple[int, int, bool], Dict] = {}
-        # Array-form derived state keyed by pass-specific tuples: the
-        # vectorized cut enumeration (repro.aig.cut_arrays) and the mapper's
-        # candidate layout (repro.mapping.dp_arrays) both memoise here.  Like
-        # cut_cache, entries depend only on the frozen node prefix (plus
-        # immutable library data captured in the key), so sharing across
-        # clones is sound; cached objects must be treated as immutable.
+        # Array-form derived state keyed by pass-specific tuples: the cut
+        # rows (repro.aig.cut_arrays) and the mapper's candidate layout
+        # (repro.mapping.dp_arrays) both memoise here.  Entries depend only
+        # on the frozen node prefix this snapshot describes (plus immutable
+        # library data captured in the key), so sharing across clones is
+        # sound; cached objects are shared, never copied, and must be
+        # treated as immutable.
         self.dp_cache: Dict[Tuple, object] = {}
 
     # ------------------------------------------------------------------ #

@@ -1,12 +1,11 @@
 """Array-form k-feasible cut enumeration with on-the-fly cut functions.
 
-:func:`repro.aig.cuts.enumerate_cuts` is the cold-path bottleneck of
-technology mapping: per node it crosses two Python cut lists, dedups leaf
-tuples through a set, prunes dominated cuts pairwise, and sorts — all in the
-interpreter — and the mapper then walks every cut's cone again to obtain its
-truth table.  This module produces **exactly the same cut sets** (same
-leaves, same per-node order, same truth tables) with per-level-wave numpy
-batches:
+Rewriting and technology mapping both start from every node's k-feasible
+cuts with their truth tables.  This module produces them as flat numpy rows
+— **exactly the cut sets** of the reference
+:func:`~repro.aig.cuts.enumerate_cut_lists` (same leaves, same per-node
+order), each with its truth table and its volume (the AND nodes inside its
+cone) — in per-level-wave batches:
 
 * **merging** crosses all fanin cut pairs of a whole level wave at once
   (sorted-union of padded leaf rows, feasibility by unique count);
@@ -25,27 +24,35 @@ batches:
   scalar walk would stop at such a leaf and treat it as a free variable);
   every cut therefore carries an interior bitmask, suspicious merges are
   detected exactly, and those rare cuts fall back to the scalar
-  :func:`~repro.aig.simulate.cone_truth_table` walk.
+  :func:`~repro.aig.simulate.cone_truth_table` walk;
+* **volumes** are the popcounts of those interior bitmasks, i.e. the
+  :func:`~repro.aig.cuts.cut_volume` of every non-trivial cut, taken once
+  before the masks are dropped.
 
 Graphs over :data:`MAX_VECTOR_GRAPH_SIZE` variables fill the same rows from
-:func:`~repro.aig.cuts.enumerate_cuts` and
-:func:`~repro.aig.simulate.cone_truth_table` instead: their variable ids
-overflow the packed 13-bit sort key, and the interior bitmasks would cost
-``O(rows x variables)`` bits.
+:func:`~repro.aig.cuts.enumerate_cut_lists` with one cone walk per cut for
+its table and one for its volume, keeping neither the lists nor the walks'
+tables: their variable ids overflow the packed 13-bit sort key, and the
+interior bitmasks would cost ``O(rows x variables)`` bits.
 
-The result is cached on the graph's :class:`~repro.aig.arrays.AigArrays`
-snapshot (``dp_cache``), i.e. with the same lifetime and sharing rules as
-the scalar cut cache.  ``tests/test_dp_arrays.py`` holds the differential
-suite asserting cut-set and table equality against the scalar path.
+Two entry points return the same rows, memoised on the graph's
+:class:`~repro.aig.arrays.AigArrays` snapshot (``dp_cache``):
+:func:`build_cut_arrays` for the mapper and :func:`enumerate_cuts` for
+rewriting.  They are separate functions so a profiler that wraps one sees
+only its own caller's enumeration.  ``tests/test_dp_arrays.py`` and
+``tests/test_rewrite_rows.py`` hold the differential suites asserting cut
+sets, tables and volumes against the scalar walks.
 """
 
 from __future__ import annotations
 
+from array import array
+from functools import lru_cache
 from typing import List, Tuple
 
 import numpy as np
 
-from repro.aig.cuts import enumerate_cuts
+from repro.aig.cuts import cut_volume, enumerate_cut_lists
 from repro.aig.graph import Aig
 from repro.aig.simulate import cone_truth_table
 from repro.errors import AigError
@@ -140,7 +147,8 @@ class CutArrays:
     ``(size, leaves)`` order, trivial cut last — the exact per-node order of
     :func:`~repro.aig.cuts.merge_node_cuts`.  The constant node and the PIs
     come first, then the AND nodes wave by wave, in
-    ``and_level_groups()`` order.
+    ``and_level_groups()`` order.  ``volumes[row]`` counts the AND nodes in
+    the row's cone, root included and leaves excluded; trivial rows read 0.
     """
 
     __slots__ = (
@@ -148,6 +156,7 @@ class CutArrays:
         "leaves",
         "sizes",
         "tables",
+        "volumes",
         "start",
         "count",
         "num_rows",
@@ -161,6 +170,7 @@ class CutArrays:
         leaves: np.ndarray,
         sizes: np.ndarray,
         tables: np.ndarray,
+        volumes: np.ndarray,
         start: np.ndarray,
         count: np.ndarray,
         num_rows: int,
@@ -171,6 +181,7 @@ class CutArrays:
         self.leaves = leaves
         self.sizes = sizes
         self.tables = tables
+        self.volumes = volumes
         self.start = start
         self.count = count
         self.num_rows = num_rows
@@ -184,6 +195,27 @@ class CutArrays:
         """Row index range of *var*'s cut list."""
         begin = int(self.start[var])
         return range(begin, begin + int(self.count[var]))
+
+
+#: ``np.bitwise_count`` where NumPy provides it (2.0 and later).
+_BITWISE_COUNT = getattr(np, "bitwise_count", None)
+
+
+@lru_cache(maxsize=None)
+def _popcount16() -> np.ndarray:
+    """Set-bit count of every 16-bit value, for NumPy without ``bitwise_count``."""
+    values = np.arange(1 << 16, dtype=np.uint32)
+    counts = np.zeros(1 << 16, dtype=np.uint8)
+    for bit in range(16):
+        counts += ((values >> bit) & 1).astype(np.uint8)
+    return counts
+
+
+def _popcount_rows(words: np.ndarray) -> np.ndarray:
+    """Set bits per row of a C-contiguous 2-D ``uint64`` array, as int64."""
+    if _BITWISE_COUNT is not None:
+        return _BITWISE_COUNT(words).sum(axis=1, dtype=np.int64)
+    return _popcount16()[words.view(np.uint16)].sum(axis=1, dtype=np.int64)
 
 
 def _segmented_arange(counts: np.ndarray, total: int) -> np.ndarray:
@@ -211,11 +243,20 @@ def _interior_walk(aig: Aig, root: int, leaves: Tuple[int, ...]) -> List[int]:
 
 
 def build_cut_arrays(aig: Aig, k: int, max_cuts_per_node: int) -> CutArrays:
-    """Enumerate cuts (with tables) for *aig* in level-wave numpy batches.
+    """The mapper's cut rows (with tables) for *aig*, memoised on the snapshot.
 
-    Matches ``enumerate_cuts(aig, k, max_cuts_per_node, include_trivial=True)``
-    cut-for-cut; memoised on the graph snapshot.
+    Matches ``enumerate_cut_lists(aig, k, max_cuts_per_node,
+    include_trivial=True)`` cut for cut.
     """
+    return _memoised_rows(aig, k, max_cuts_per_node)
+
+
+def enumerate_cuts(aig: Aig, k: int, max_cuts_per_node: int) -> CutArrays:
+    """Rewriting's cut rows: the same memoised rows as :func:`build_cut_arrays`."""
+    return _memoised_rows(aig, k, max_cuts_per_node)
+
+
+def _memoised_rows(aig: Aig, k: int, max_cuts_per_node: int) -> CutArrays:
     if not 2 <= k <= 4:
         raise AigError(f"array cut enumeration supports 2 <= k <= 4, got {k}")
     arrays = aig.arrays()
@@ -227,46 +268,58 @@ def build_cut_arrays(aig: Aig, k: int, max_cuts_per_node: int) -> CutArrays:
         result = _rows_from_cut_lists(aig, k, max_cuts_per_node)
     else:
         result = _rows_from_waves(aig, k, max_cuts_per_node)
-    # repro-lint: ignore[C2] -- build_cut_arrays is the owner populating
-    # dp_cache (first write of this key), mirroring enumerate_cuts.
+    # repro-lint: ignore[C2] -- _memoised_rows is the owner populating
+    # dp_cache (first write of this key).
     arrays.dp_cache[cache_key] = result
     return result
 
 
 def _rows_from_cut_lists(aig: Aig, k: int, max_cuts_per_node: int) -> CutArrays:
-    """The rows of :func:`build_cut_arrays`, copied from the scalar cut lists."""
+    """The rows of :func:`build_cut_arrays`, copied from the scalar cut lists.
+
+    Tables come from unmemoised cone walks and the lists are dropped once
+    copied, so the rows are the only cut data the graph keeps.
+    """
     arrays = aig.arrays()
-    cuts = enumerate_cuts(aig, k, max_cuts_per_node, include_trivial=True)
-    leaves: List[Tuple[int, ...]] = []
-    sizes: List[int] = []
-    tables: List[int] = []
+    cuts = enumerate_cut_lists(aig, k, max_cuts_per_node, include_trivial=True)
+    pad = (SENTINEL,) * 4
+    leaves = array("q")
+    sizes = array("q")
+    tables = array("q")
+    volumes = array("q")
     start = np.zeros(arrays.size, dtype=np.int64)
     count = np.zeros(arrays.size, dtype=np.int64)
 
     def emit(var: int) -> None:
-        start[var] = len(leaves)
+        start[var] = len(sizes)
         count[var] = len(cuts[var])
-        for cut in cuts[var]:
-            leaves.append(cut.leaves + (SENTINEL,) * (4 - cut.size))
+        for cut in cuts.pop(var):
+            leaves.extend(cut.leaves + pad[cut.size :])
             sizes.append(cut.size)
-            tables.append(cut.truth_table(aig))
+            if cut.leaves == (var,):
+                tables.append(0b10)
+                volumes.append(0)
+            else:
+                tables.append(cone_truth_table(aig, var * 2, cut.leaves, memo=False))
+                volumes.append(cut_volume(aig, cut))
 
     for var in [0] + arrays.pi_vars.tolist():
         emit(var)
     wave_row_ranges: List[Tuple[int, int]] = []
     for nodes in arrays.and_level_groups():
-        begin = len(leaves)
+        begin = len(sizes)
         for var in nodes.tolist():
             emit(var)
-        wave_row_ranges.append((begin, len(leaves)))
+        wave_row_ranges.append((begin, len(sizes)))
     return CutArrays(
         size=arrays.size,
-        leaves=np.asarray(leaves, dtype=np.int64),
-        sizes=np.asarray(sizes, dtype=np.int64),
-        tables=np.asarray(tables, dtype=np.int64),
+        leaves=np.frombuffer(leaves, dtype=np.int64).reshape(-1, 4),
+        sizes=np.frombuffer(sizes, dtype=np.int64),
+        tables=np.frombuffer(tables, dtype=np.int64),
+        volumes=np.frombuffer(volumes, dtype=np.int64),
         start=start,
         count=count,
-        num_rows=len(leaves),
+        num_rows=len(sizes),
         hazard_fallbacks=0,
         wave_row_ranges=wave_row_ranges,
     )
@@ -507,6 +560,7 @@ def _rows_from_waves(aig: Aig, k: int, max_cuts_per_node: int) -> CutArrays:
         leaves=leaves_buf[:cursor],
         sizes=sizes_buf[:cursor],
         tables=tables_buf[:cursor],
+        volumes=_popcount_rows(interior_buf[:cursor]),
         start=start,
         count=count,
         num_rows=cursor,

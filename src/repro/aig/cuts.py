@@ -1,14 +1,17 @@
-"""K-feasible cut enumeration.
+"""K-feasible cut enumeration over Python ``Cut`` lists.
 
 A *cut* of node ``n`` is a set of nodes (leaves) such that every path from a
 primary input to ``n`` passes through a leaf.  A cut is *k-feasible* when it
-has at most ``k`` leaves.  Cut enumeration is the workhorse of both the
-rewriting transform (which resynthesises the logic inside a cut) and the
-technology mapper (which matches cut functions against library cells).
+has at most ``k`` leaves.
 
-The implementation follows the standard bottom-up merge: the cut set of an
-AND node is the pairwise union of its fanins' cut sets, filtered to k leaves,
-pruned of dominated cuts, and truncated to a per-node limit to bound runtime.
+This module holds the reference formulation: the cut set of an AND node is
+the pairwise union of its fanins' cut sets, filtered to k leaves, pruned of
+dominated cuts, and truncated to a per-node limit to bound runtime.  The
+production cut rows of rewriting and mapping come from the level-wave
+batches of :mod:`repro.aig.cut_arrays`, which reproduce these lists cut for
+cut; :func:`enumerate_cut_lists` only feeds those rows for graphs over
+:data:`~repro.aig.cut_arrays.MAX_VECTOR_GRAPH_SIZE` variables, where the
+batches' packed keys overflow.
 """
 
 from __future__ import annotations
@@ -91,7 +94,7 @@ def merge_node_cuts(
 ) -> List[Cut]:
     """Cut list of AND node *var* from its two fanins' cut lists.
 
-    This is the per-node step of :func:`enumerate_cuts`.
+    This is the per-node step of :func:`enumerate_cut_lists`.
     """
     merged: List[Cut] = []
     seen_leaves = set()
@@ -117,7 +120,7 @@ def merge_node_cuts(
     return node_cuts
 
 
-def enumerate_cuts(
+def enumerate_cut_lists(
     aig: Aig,
     k: int = 4,
     max_cuts_per_node: int = 12,
@@ -135,25 +138,20 @@ def enumerate_cuts(
         style truncation keeps enumeration near-linear in practice.
     include_trivial:
         Whether the trivial cut ``{node}`` is kept in each node's list (the
-        mapper needs it; rewriting skips it).
+        cut rows need it as the last row of every node).
 
     Returns
     -------
     dict
         Maps each variable id to its list of cuts.  PIs and the constant node
-        only carry their trivial cut.  The result is memoised on the graph's
-        array snapshot (cuts depend only on the frozen node structure), so
-        repeated enumeration with the same parameters — per annealing
-        iteration, or across the mapper and the rewriter — returns the same
-        shared object; callers must not mutate it.
+        only carry their trivial cut.  The result is built afresh on every
+        call and nothing is memoised: the one production caller copies it
+        into memoised :class:`~repro.aig.cut_arrays.CutArrays` rows and lets
+        the lists go.
     """
     if k < 2:
         raise AigError(f"cut size k must be at least 2, got {k}")
     arrays = aig.arrays()
-    cache_key = (k, max_cuts_per_node, include_trivial)
-    cached = arrays.cut_cache.get(cache_key)
-    if cached is not None:
-        return cached
     cuts: Dict[int, List[Cut]] = {0: [Cut(0, (0,))]}
     for var in aig.pi_vars:
         cuts[var] = [Cut(var, (var,))]
@@ -162,10 +160,6 @@ def enumerate_cuts(
         cuts[var] = merge_node_cuts(
             var, cuts[f0v[var]], cuts[f1v[var]], k, max_cuts_per_node, include_trivial
         )
-    # repro-lint: ignore[C2] -- enumerate_cuts is the owner that populates
-    # cut_cache (first write of this key), not a consumer mutating a
-    # memoised return value.
-    arrays.cut_cache[cache_key] = cuts
     return cuts
 
 

@@ -179,6 +179,7 @@ def cone_truth_table(
     root_literal: int,
     leaves: Sequence[int],
     max_vars: int = 16,
+    memo: bool = True,
 ) -> int:
     """Exact truth table of *root_literal* expressed over *leaves*.
 
@@ -192,15 +193,16 @@ def cone_truth_table(
 
     Results are memoised on the graph: node fanins are frozen at creation
     (the graph is append-only), so a ``(root literal, leaves)`` cone never
-    changes and the mapper's repeated cut evaluations across annealing
-    iterations hit the cache.
+    changes and repeated cone evaluations across annealing iterations hit
+    the cache.  ``memo=False`` neither reads nor fills it, for callers that
+    keep the tables themselves.
     """
     num_leaves = len(leaves)
     if num_leaves > max_vars:
         raise AigError(f"cone has {num_leaves} leaves, exceeding max_vars={max_vars}")
     cache = aig._cone_table_cache
     cache_key = (root_literal, tuple(leaves))
-    cached = cache.get(cache_key)
+    cached = cache.get(cache_key) if memo else None
     if cached is not None:
         return cached
     mask = table_mask(num_leaves)
@@ -248,6 +250,6 @@ def cone_truth_table(
     if is_complemented(root_literal):
         root_value = ~root_value & mask
     root_value &= mask
-    if len(cache) < MAX_CONE_CACHE_ENTRIES:
+    if memo and len(cache) < MAX_CONE_CACHE_ENTRIES:
         cache[cache_key] = root_value
     return root_value

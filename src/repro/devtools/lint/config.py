@@ -31,7 +31,6 @@ DEFAULT_BASELINE = "lint-baseline.json"
 DEFAULT_MEMOIZED_APIS = (
     "cut_sets",
     "cone_truth_table",
-    "cut_cache",
     "fanin_var_lists",
     "levels_list",
     "and_level_groups",

@@ -377,7 +377,7 @@ def candidate_layout(
     mt = match_tables(library, load_ff, max_matches)
     layout = CandidateLayout(aig, ca, mt)
     # repro-lint: ignore[C2] -- candidate_layout owns this dp_cache key
-    # (first write), mirroring enumerate_cuts' cut_cache ownership.
+    # (first write), like the cut rows it is built from.
     arrays.dp_cache[key] = layout
     return layout
 

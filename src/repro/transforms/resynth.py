@@ -6,12 +6,18 @@ irredundant sum-of-products (ISOP) cover of the function or of its
 complement — whichever is cheaper — realised as balanced AND/OR trees.  The
 resulting structure is usually competitive with the original cone for the
 small cut sizes (up to ~10 leaves) used by the transforms.
+
+The transforms price far more cones than they rebuild, and a cover's cost
+needs only its counts: :func:`resynth_cost` runs the same Minato-Morreale
+recursion as :func:`~repro.aig.truth.isop` but returns (literals, cubes,
+zero-literal cubes, covered function) instead of the cube list, while
+:func:`synthesize_truth` keeps the list ISOP for the cones it builds.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from repro.aig.graph import Aig
 from repro.aig.literals import CONST0, CONST1, negate
@@ -21,8 +27,13 @@ from repro.aig.truth import (
     is_const1,
     isop,
     table_mask,
+    truth_not,
+    var_truth,
 )
 from repro.errors import TransformError
+
+#: (literals, cubes, zero-literal cubes, covered function) of a cover.
+CoverCounts = Tuple[int, int, int, int]
 
 
 def sop_cost(cubes: Sequence[Cube]) -> int:
@@ -43,13 +54,71 @@ def resynth_cost(table: int, num_vars: int) -> int:
 
     This is the cost the rewriting and refactoring transforms compare against
     a cone's node count; memoised because the same small cut functions recur
-    across nodes, designs, and annealing iterations.
+    across nodes, designs, and annealing iterations.  It equals
+    ``min(sop_cost(isop(t)), sop_cost(isop(~t)))`` without building either
+    cube list: :func:`sop_cost` is the literal count plus the zero-literal
+    cubes minus one, or 0 for an empty cover.
     """
     mask = table_mask(num_vars)
     table &= mask
-    return min(
-        sop_cost(isop(table, 0, num_vars)),
-        sop_cost(isop((~table) & mask, 0, num_vars)),
+    return min(_cover_cost(table, num_vars), _cover_cost(~table & mask, num_vars))
+
+
+def _cover_cost(on_set: int, num_vars: int) -> int:
+    literals, cubes, bare, _ = _isop_counts(on_set, on_set, num_vars, num_vars)
+    return literals + bare - 1 if cubes else 0
+
+
+@lru_cache(maxsize=None)
+def _split_masks(num_vars: int) -> Tuple[Tuple[int, int, int], ...]:
+    """Per input ``v``: (``2**v``, minterms with ``v`` = 0, with ``v`` = 1)."""
+    return tuple(
+        (1 << var, truth_not(var_truth(var, num_vars), num_vars), var_truth(var, num_vars))
+        for var in range(num_vars)
+    )
+
+
+@lru_cache(maxsize=200_000)
+def _isop_counts(lower: int, upper: int, num_vars: int, var_count: int) -> CoverCounts:
+    """Counts of the cover :func:`repro.aig.truth.isop` builds for [*lower*, *upper*].
+
+    Mirrors ``_isop_recursive`` step for step — same splitting variable,
+    same three subproblems — so the counts are exactly those of its cube
+    list.  Covers of both cofactors gain the splitting literal on every
+    cube; the shared cover's cubes pass through unchanged.
+    """
+    if lower == 0:
+        return 0, 0, 0, 0
+    mask = table_mask(num_vars)
+    if upper == mask:
+        return 0, 1, 1, mask
+    halves = _split_masks(num_vars)
+    var = var_count - 1
+    while var >= 0:
+        shift, low, _ = halves[var]
+        if ((lower >> shift) ^ lower) & low or ((upper >> shift) ^ upper) & low:
+            break
+        var -= 1
+    if var < 0:
+        return 0, 1, 1, mask
+    shift, low, high = halves[var]
+    lower0 = lower & low
+    lower0 |= lower0 << shift
+    lower1 = lower & high
+    lower1 |= lower1 >> shift
+    upper0 = upper & low
+    upper0 |= upper0 << shift
+    upper1 = upper & high
+    upper1 |= upper1 >> shift
+    lits0, cubes0, _, func0 = _isop_counts(lower0 & ~upper1, upper0, num_vars, var)
+    lits1, cubes1, _, func1 = _isop_counts(lower1 & ~upper0, upper1, num_vars, var)
+    remaining = (lower0 & ~func0) | (lower1 & ~func1)
+    lits2, cubes2, bare2, func2 = _isop_counts(remaining, upper0 & upper1, num_vars, var)
+    return (
+        lits0 + cubes0 + lits1 + cubes1 + lits2,
+        cubes0 + cubes1 + cubes2,
+        bare2,
+        (func0 & low) | (func1 & high) | func2,
     )
 
 

@@ -1,21 +1,20 @@
 """Cut-based rewriting (the ABC ``rewrite`` command, simplified).
 
-For every AND node the transform enumerates k-feasible cuts, computes the
-exact function of the best cut, and resynthesises that function from the cut
-leaves.  The resynthesised implementation replaces the original cone when its
-estimated cost is no worse; because the new graph is built with structural
-hashing, logic shared with already-rebuilt parts of the network is reused for
-free, which is where most of the node savings come from.
+For every AND node the transform takes the node's k-feasible cuts, with
+their exact functions and cone volumes, from the memoised cut rows of
+:mod:`repro.aig.cut_arrays`, prices each function's resynthesis, and
+rebuilds the cone from the cut leaves when that saves nodes.  The
+resynthesised implementation replaces the original cone when its estimated
+cost is no worse; because the new graph is built with structural hashing,
+logic shared with already-rebuilt parts of the network is reused for free,
+which is where most of the node savings come from.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
-
-from repro.aig.cuts import Cut, cut_volume, enumerate_cuts
+from repro.aig.cut_arrays import enumerate_cuts
 from repro.aig.graph import Aig, rebuild_map
 from repro.aig.literals import is_complemented, literal_var, negate_if
-from repro.aig.simulate import cone_truth_table
 from repro.transforms.base import Transform
 from repro.transforms.resynth import resynth_cost, synthesize_truth
 
@@ -31,6 +30,7 @@ class Rewrite(Transform):
         max_cuts_per_node: int = 8,
         zero_cost: bool = False,
     ) -> None:
+        #: Leaves per cut, 2 to 4 (the range the cut rows hold).
         self.cut_size = cut_size
         self.max_cuts_per_node = max_cuts_per_node
         #: When true, replacements with equal estimated cost are also taken,
@@ -39,12 +39,13 @@ class Rewrite(Transform):
         self.zero_cost = zero_cost
 
     def apply(self, aig: Aig) -> Aig:
-        cuts = enumerate_cuts(
-            aig,
-            k=self.cut_size,
-            max_cuts_per_node=self.max_cuts_per_node,
-            include_trivial=True,
-        )
+        rows = enumerate_cuts(aig, self.cut_size, self.max_cuts_per_node)
+        start = rows.start.tolist()
+        count = rows.count.tolist()
+        sizes = rows.sizes.tolist()
+        tables = rows.tables.tolist()
+        volumes = rows.volumes.tolist()
+        floor = -1 if self.zero_cost else 0
         new = Aig(aig.name)
         mapping = rebuild_map(aig, new)
 
@@ -54,8 +55,22 @@ class Rewrite(Transform):
                 negate_if(mapping[literal_var(f0)], is_complemented(f0)),
                 negate_if(mapping[literal_var(f1)], is_complemented(f1)),
             )
-            best = self._try_rewrite(aig, new, mapping, var, cuts.get(var, ()))
-            mapping[var] = best if best is not None else default_lit
+            # Every cut that beats the best gain so far is synthesised, in
+            # row order; the last one built replaces the node.
+            best_lit = None
+            best_gain = floor
+            first = start[var]
+            for row in range(first, first + count[var]):
+                size = sizes[row]
+                if size < 2:
+                    continue
+                gain = volumes[row] - resynth_cost(tables[row], size)
+                if gain > best_gain:
+                    leaves = rows.leaves[row, :size].tolist()
+                    leaf_literals = [mapping[leaf] for leaf in leaves]
+                    best_lit = synthesize_truth(new, tables[row], size, leaf_literals)
+                    best_gain = gain
+            mapping[var] = best_lit if best_lit is not None else default_lit
 
         for lit, name in zip(aig.po_literals(), aig.po_names):
             new.add_po(negate_if(mapping[literal_var(lit)], is_complemented(lit)), name)
@@ -66,28 +81,3 @@ class Rewrite(Transform):
         if not self.zero_cost and result.num_ands > aig.num_ands:
             return aig.cleanup()
         return result
-
-    def _try_rewrite(
-        self,
-        aig: Aig,
-        new: Aig,
-        mapping: Dict[int, int],
-        var: int,
-        node_cuts,
-    ) -> Optional[int]:
-        """Return a replacement literal for *var* or ``None`` to keep the copy."""
-        best_lit: Optional[int] = None
-        best_gain = 0 if not self.zero_cost else -1
-        for cut in node_cuts:
-            if cut.size < 2 or cut.leaves == (var,):
-                continue
-            if any(leaf not in mapping for leaf in cut.leaves):
-                continue
-            table = cone_truth_table(aig, var * 2, cut.leaves)
-            original_cost = cut_volume(aig, cut)
-            gain = original_cost - resynth_cost(table, cut.size)
-            if gain > best_gain:
-                leaf_literals = [mapping[leaf] for leaf in cut.leaves]
-                best_lit = synthesize_truth(new, table, cut.size, leaf_literals)
-                best_gain = gain
-        return best_lit

@@ -3,7 +3,7 @@
 :func:`repro.mapping.dp_arrays.try_full_dp` chooses every node's cut and
 realisation with per-wave array reductions.  This module is the per-node
 Python chooser it replaced: enumerate each node's cuts with
-:func:`~repro.aig.cuts.enumerate_cuts`, evaluate every (cut, match) pair
+:func:`~repro.aig.cuts.enumerate_cut_lists`, evaluate every (cut, match) pair
 with plain float arithmetic, keep the first strictly better key, and fall
 back to the structural fanin-pair cut when no listed cut matches.
 ``test_dp_arrays.py`` and ``test_arraycore.py`` map the same graphs both
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.aig.cuts import Cut, enumerate_cuts
+from repro.aig.cuts import Cut, enumerate_cut_lists
 from repro.aig.graph import Aig
 from repro.aig.literals import literal_var
 from repro.aig.simulate import cone_truth_table
@@ -51,7 +51,7 @@ class ScalarMapper(TechnologyMapper):
         structural fanin-pair cut is produced by the merge step; the
         fanin-pair cut is what guarantees a match (AND-family cell) exists.
         """
-        return enumerate_cuts(
+        return enumerate_cut_lists(
             aig,
             k=self.cut_size,
             max_cuts_per_node=self.options.max_cuts_per_node,

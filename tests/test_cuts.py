@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.aig.cuts import Cut, best_cut_per_node, cut_volume, enumerate_cuts, merge_cuts
+from repro.aig.cuts import Cut, best_cut_per_node, cut_volume, enumerate_cut_lists, merge_cuts
 from repro.aig.graph import Aig
 from repro.aig.literals import literal_var
 from repro.aig.simulate import cone_truth_table
@@ -23,14 +23,14 @@ def small_tree():
 
 def test_pi_cuts_are_trivial(small_tree):
     aig, *_ = small_tree
-    cuts = enumerate_cuts(aig, k=4)
+    cuts = enumerate_cut_lists(aig, k=4)
     for var in aig.pi_vars:
         assert cuts[var] == [Cut(var, (var,))]
 
 
 def test_root_has_full_pi_cut(small_tree):
     aig, ab, cd, root = small_tree
-    cuts = enumerate_cuts(aig, k=4)
+    cuts = enumerate_cut_lists(aig, k=4)
     leaf_sets = [set(c.leaves) for c in cuts[root]]
     assert set(aig.pi_vars) in leaf_sets
     assert {ab, cd} in leaf_sets
@@ -38,7 +38,7 @@ def test_root_has_full_pi_cut(small_tree):
 
 def test_k_limit_respected(small_tree):
     aig, *_ , root = small_tree
-    cuts = enumerate_cuts(aig, k=3)
+    cuts = enumerate_cut_lists(aig, k=3)
     for cut in cuts[root]:
         assert cut.size <= 3
 
@@ -46,19 +46,19 @@ def test_k_limit_respected(small_tree):
 def test_k_too_small_rejected(small_tree):
     aig, *_ = small_tree
     with pytest.raises(AigError):
-        enumerate_cuts(aig, k=1)
+        enumerate_cut_lists(aig, k=1)
 
 
 def test_include_trivial_flag(small_tree):
     aig, *_, root = small_tree
-    with_trivial = enumerate_cuts(aig, k=4, include_trivial=True)
-    without = enumerate_cuts(aig, k=4, include_trivial=False)
+    with_trivial = enumerate_cut_lists(aig, k=4, include_trivial=True)
+    without = enumerate_cut_lists(aig, k=4, include_trivial=False)
     assert Cut(root, (root,)) in with_trivial[root]
     assert Cut(root, (root,)) not in without[root]
 
 
 def test_max_cuts_per_node_truncates(medium_random_aig):
-    cuts = enumerate_cuts(medium_random_aig, k=4, max_cuts_per_node=3)
+    cuts = enumerate_cut_lists(medium_random_aig, k=4, max_cuts_per_node=3)
     for var in medium_random_aig.and_vars():
         # +1 allows for the appended trivial cut.
         assert len(cuts[var]) <= 4
@@ -95,14 +95,14 @@ def test_cut_volume(small_tree):
 
 def test_best_cut_per_node(small_tree):
     aig, ab, cd, root = small_tree
-    cuts = enumerate_cuts(aig, k=4)
+    cuts = enumerate_cut_lists(aig, k=4)
     best = best_cut_per_node(cuts)
     assert best[root].size >= 2
 
 
 def test_every_cut_is_a_valid_cut(medium_random_aig):
     """Every enumerated cut must actually separate its root from the PIs."""
-    cuts = enumerate_cuts(medium_random_aig, k=4, max_cuts_per_node=5)
+    cuts = enumerate_cut_lists(medium_random_aig, k=4, max_cuts_per_node=5)
     for var in list(medium_random_aig.and_vars())[::17]:
         for cut in cuts[var]:
             if cut.leaves == (var,):

@@ -15,7 +15,7 @@ import random
 import pytest
 
 from repro.aig import cut_arrays
-from repro.aig.cuts import enumerate_cuts
+from repro.aig.cuts import enumerate_cut_lists
 from repro.aig.graph import Aig
 from repro.aig.random_graphs import random_aig
 from repro.aig.simulate import cone_truth_table
@@ -182,7 +182,7 @@ def test_wide_wave_cut_prune_matches_scalar(library):
     options = MappingOptions()
     k, max_cuts = options.cut_size, options.max_cuts_per_node
     arrays_cuts = cut_arrays.build_cut_arrays(aig, k, max_cuts)
-    scalar_cuts = enumerate_cuts(aig, k, max_cuts, include_trivial=True)
+    scalar_cuts = enumerate_cut_lists(aig, k, max_cuts, include_trivial=True)
     for var in range(aig.size):
         rows = arrays_cuts.node_rows(var)
         leaves = [
@@ -212,7 +212,7 @@ def test_cut_list_rows_match_wave_rows(cut_size, max_cuts):
     lists = cut_arrays._rows_from_cut_lists(aig, cut_size, max_cuts)
     assert lists.num_rows == waves.num_rows
     assert lists.wave_row_ranges == waves.wave_row_ranges
-    for field in ("leaves", "sizes", "tables", "start", "count"):
+    for field in ("leaves", "sizes", "tables", "volumes", "start", "count"):
         assert (getattr(lists, field) == getattr(waves, field)).all(), field
 
 
