@@ -70,10 +70,12 @@ def test_campaign_session_reuse(benchmark, save_result, tmp_path):
         cold_misses[0] += _pool_misses()
         worker_session_pool().clear()
 
+    # v1 had no warm-start sidecar, so the per-cell baseline must not read
+    # the one its own file-backed store writes.
     cold_store = ResultStore(tmp_path / "cold.jsonl")
     start = time.perf_counter()
     summary_cold = run_campaign(
-        spec, cold_store, max_workers=1, on_record=per_cell_reset
+        spec, cold_store, max_workers=1, on_record=per_cell_reset, warm_start=False
     )
     cold_seconds = time.perf_counter() - start
     worker_session_pool().clear()

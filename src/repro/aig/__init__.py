@@ -9,7 +9,6 @@ from repro.aig.analysis import (
     transitive_fanout,
     weighted_po_depths,
 )
-from repro.aig.cuts import Cut, enumerate_cut_lists, merge_node_cuts
 from repro.aig.equivalence import (
     EquivalenceResult,
     check_equivalence,
@@ -41,7 +40,6 @@ from repro.aig.simulate import (
 __all__ = [
     "Aig",
     "AigStats",
-    "Cut",
     "DepthReport",
     "EquivalenceResult",
     "CONST0",
@@ -52,12 +50,10 @@ __all__ = [
     "cone_truth_table",
     "count_paths_per_po",
     "critical_path_nodes",
-    "enumerate_cut_lists",
     "exhaustive_pi_patterns",
     "is_complemented",
     "literal_var",
     "make_literal",
-    "merge_node_cuts",
     "negate",
     "negate_if",
     "node_hashes",

@@ -1,118 +1,66 @@
 """Array-form k-feasible cut enumeration with on-the-fly cut functions.
 
 Rewriting and technology mapping both start from every node's k-feasible
-cuts with their truth tables.  This module produces them as flat numpy rows
-— **exactly the cut sets** of the reference
-:func:`~repro.aig.cuts.enumerate_cut_lists` (same leaves, same per-node
-order), each with its truth table and its volume (the AND nodes inside its
-cone) — in per-level-wave batches:
+cuts with their truth tables.  This module produces them as flat numpy rows,
+one level wave of AND nodes at a time, for graphs of any size.  A node's
+cuts are the bounded priority-cut set of its fanins' cuts: every pairwise
+union with at most ``k`` leaves, deduplicated, without the sets that have a
+strict subset among them, sorted by ``(size, leaves)``, truncated to
+``max_cuts_per_node`` and followed by the trivial cut.  Each row carries its
+truth table and its volume (the AND nodes inside its cone):
 
-* **merging** crosses all fanin cut pairs of a whole level wave at once
-  (sorted-union of padded leaf rows, feasibility by unique count);
-* **dedup / prune / sort** exploit that the scalar pipeline's output is
-  *canonical*: a merged leaf set is kept iff no other distinct merged leaf
-  set of the node is a strict subset of it, and the survivors are sorted by
-  ``(size, leaves)`` and truncated — insertion order never matters, so one
-  stable sort on a packed ``(size, leaves)`` key plus a batched subset test
-  reproduces the scalar result bit for bit.  Because a strict subset is
-  strictly smaller, only the leading ``size < k`` rows of each node's
-  sorted candidate block can dominate anything, which keeps the pairwise
-  subset test to ``dominators x candidates`` instead of ``candidates²``;
+* **signatures**: every row keeps a 64-bit leaf signature (bit
+  ``leaf & 63``).  A fanin cut pair whose signature OR has more than ``k``
+  bits has more than ``k`` leaves, so most infeasible pairs are dropped
+  before the merge;
+* **merging** crosses the remaining fanin cut pairs of the whole wave at
+  once (sorted-unique union of the padded leaf rows, feasibility by count);
+* **dedup / sort**: one stable sort on ``(node, size, leaves)``, held in
+  two int64 words, puts equal leaf sets next to each other (the first one
+  is the lowest producing pair) and leaves the survivors in final order;
+* **prune**: a strict subset has fewer leaves, so each row with fewer than
+  ``k`` leaves is paired only with the later, larger rows of its node, and
+  the leaf test runs on the pairs whose signatures allow a subset;
 * **truth tables** are composed from the producing fanin cuts' tables by
   variable expansion instead of walking the cone.  Composition is only
   valid when no merged leaf lies strictly *inside* a producing cone (the
-  scalar walk would stop at such a leaf and treat it as a free variable);
-  every cut therefore carries an interior bitmask, suspicious merges are
-  detected exactly, and those rare cuts fall back to the scalar
-  :func:`~repro.aig.simulate.cone_truth_table` walk;
-* **volumes** are the popcounts of those interior bitmasks, i.e. the
-  :func:`~repro.aig.cuts.cut_volume` of every non-trivial cut, taken once
-  before the masks are dropped.
-
-Graphs over :data:`MAX_VECTOR_GRAPH_SIZE` variables fill the same rows from
-:func:`~repro.aig.cuts.enumerate_cut_lists` with one cone walk per cut for
-its table and one for its volume, keeping neither the lists nor the walks'
-tables: their variable ids overflow the packed 13-bit sort key, and the
-interior bitmasks would cost ``O(rows x variables)`` bits.
+  cone walk would stop at such a leaf and treat it as a free variable), so
+  those rare *hazard* rows fall back to
+  :func:`~repro.aig.simulate.cone_truth_table`;
+* **interiors** are sorted member lists (the AND nodes of each row's cone),
+  the union of the producing rows' lists plus the node, built for the whole
+  wave by one sort.  A row whose leaf is among its producing members is a
+  hazard row and takes the members of a cone walk instead.  A row's volume
+  is its member count.
 
 Two entry points return the same rows, memoised on the graph's
 :class:`~repro.aig.arrays.AigArrays` snapshot (``dp_cache``):
 :func:`build_cut_arrays` for the mapper and :func:`enumerate_cuts` for
 rewriting.  They are separate functions so a profiler that wraps one sees
-only its own caller's enumeration.  ``tests/test_dp_arrays.py`` and
-``tests/test_rewrite_rows.py`` hold the differential suites asserting cut
-sets, tables and volumes against the scalar walks.
+only its own caller's enumeration.  ``tests/cut_oracle.py`` holds the
+per-node ``Cut``-list formulation these rows reproduce, and
+``tests/test_dp_arrays.py`` and ``tests/test_rewrite_rows.py`` check
+leaves, tables and volumes against it and against the cone walks.
 """
 
 from __future__ import annotations
 
-from array import array
 from functools import lru_cache
 from typing import List, Tuple
 
 import numpy as np
 
-from repro.aig.cuts import cut_volume, enumerate_cut_lists
 from repro.aig.graph import Aig
 from repro.aig.simulate import cone_truth_table
 from repro.errors import AigError
 
-#: Leaf-column padding.  Chosen as ``2**13 - 1`` so a whole ``(size,
-#: leaves)`` sort key packs into one int64 (13 bits per leaf, pads sort
-#: last); the wave batches therefore require every variable id to stay
-#: below it (see :data:`MAX_VECTOR_GRAPH_SIZE`).  Columns past a row's
-#: size hold it on larger graphs too, where it can also be a real id.
-SENTINEL = 8191
-
-#: Largest graph (variable count) the wave batches serve.  Bounded by the
-#: 13-bit leaf packing above — and interior bitmasks cost
-#: ``O(cuts * size / 8)`` bytes — so larger graphs take their rows from
-#: the scalar cut lists.
-MAX_VECTOR_GRAPH_SIZE = SENTINEL
+#: Leaf-column padding, and the bound on variable ids: every id is below
+#: it.  Pads sort after every leaf, and two 30-bit leaf fields fit one
+#: int64 word of the ``(size, leaves)`` sort key.
+SENTINEL = 2**30 - 1
 
 #: Full truth-table masks indexed by support size 0..4.
 _FULL_MASK = np.asarray([(1 << (1 << s)) - 1 for s in range(5)], dtype=np.int64)
-
-#: Bit positions of the packed (size, l0, l1, l2, l3) sort key.
-_PACK_SHIFTS = np.asarray([39, 26, 13, 0], dtype=np.int64)
-_PACK_SIZE_SHIFT = 52
-
-def _build_subset_tables() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Packed-key generators for every proper nonempty subset of 4 slots.
-
-    For leaf-slot mask ``m`` (1..14), a cut's subset key is
-    ``leaves @ W[:, m] + B[m]``: each selected slot lands at its rank's
-    13-bit field, the unselected tail is SENTINEL-padded, and the popcount
-    becomes the size field — i.e. exactly the packed ``(size, leaves)`` key
-    the subset would have *if it were a candidate cut*.  Looking the key up
-    in the node's sorted candidate keys is therefore an exact strict-subset
-    test (guarded by ``popcount < size``; keys containing SENTINEL in a
-    leading slot can never match a real cut because variable ids stay below
-    SENTINEL).
-    """
-    masks = [m for m in range(1, 15)]
-    weight = np.zeros((4, 14), dtype=np.int64)
-    base = np.zeros(14, dtype=np.int64)
-    popcnt = np.zeros(14, dtype=np.int64)
-    for col, mask in enumerate(masks):
-        rank = 0
-        for slot in range(4):
-            if (mask >> slot) & 1:
-                weight[slot, col] = np.int64(1) << int(_PACK_SHIFTS[rank])
-                rank += 1
-        popcnt[col] = rank
-        base[col] = rank << _PACK_SIZE_SHIFT
-        for pad_rank in range(rank, 4):
-            base[col] += SENTINEL << int(_PACK_SHIFTS[pad_rank])
-    return weight, base, popcnt
-
-
-_SUB_W, _SUB_B, _SUB_PC = _build_subset_tables()
-
-#: Largest per-wave node count the subset-lookup prune can serve: the
-#: compound (group, packed-key) search key holds the group index above the
-#: 55-bit packed key, leaving 9 bits.  Wider waves use the pairwise prune.
-_MAX_LOOKUP_WAVE = 512
 
 
 def _build_perm_lut() -> np.ndarray:
@@ -144,11 +92,12 @@ class CutArrays:
 
     Row layout: one row per cut; rows of a variable are contiguous
     (``start[var] .. start[var] + count[var]``), non-trivial cuts first in
-    ``(size, leaves)`` order, trivial cut last — the exact per-node order of
-    :func:`~repro.aig.cuts.merge_node_cuts`.  The constant node and the PIs
-    come first, then the AND nodes wave by wave, in
-    ``and_level_groups()`` order.  ``volumes[row]`` counts the AND nodes in
-    the row's cone, root included and leaves excluded; trivial rows read 0.
+    ``(size, leaves)`` order, trivial cut last — the per-node order of the
+    ``Cut``-list oracle in ``tests/cut_oracle.py``.  ``leaves`` columns past
+    a row's size hold :data:`SENTINEL`.  The constant node and the PIs come
+    first, then the AND nodes wave by wave, in ``and_level_groups()``
+    order.  ``volumes[row]`` counts the AND nodes in the row's cone, root
+    included and leaves excluded; trivial rows read 0.
     """
 
     __slots__ = (
@@ -226,6 +175,11 @@ def _segmented_arange(counts: np.ndarray, total: int) -> np.ndarray:
     return np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
 
 
+def _segments(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + c) for s, c in zip(starts, counts)])``."""
+    return np.repeat(starts, counts) + _segmented_arange(counts, int(counts.sum()))
+
+
 def _interior_walk(aig: Aig, root: int, leaves: Tuple[int, ...]) -> List[int]:
     """AND nodes the cone walk of *root* over *leaves* assigns values to."""
     leaf_set = set(leaves)
@@ -245,8 +199,7 @@ def _interior_walk(aig: Aig, root: int, leaves: Tuple[int, ...]) -> List[int]:
 def build_cut_arrays(aig: Aig, k: int, max_cuts_per_node: int) -> CutArrays:
     """The mapper's cut rows (with tables) for *aig*, memoised on the snapshot.
 
-    Matches ``enumerate_cut_lists(aig, k, max_cuts_per_node,
-    include_trivial=True)`` cut for cut.
+    Matches the ``Cut``-list oracle with trivial cuts included, cut for cut.
     """
     return _memoised_rows(aig, k, max_cuts_per_node)
 
@@ -264,93 +217,43 @@ def _memoised_rows(aig: Aig, k: int, max_cuts_per_node: int) -> CutArrays:
     cached = arrays.dp_cache.get(cache_key)
     if cached is not None:
         return cached  # type: ignore[return-value]
-    if arrays.size > MAX_VECTOR_GRAPH_SIZE:
-        result = _rows_from_cut_lists(aig, k, max_cuts_per_node)
-    else:
-        result = _rows_from_waves(aig, k, max_cuts_per_node)
+    result = _rows_from_waves(aig, k, max_cuts_per_node)
     # repro-lint: ignore[C2] -- _memoised_rows is the owner populating
     # dp_cache (first write of this key).
     arrays.dp_cache[cache_key] = result
     return result
 
 
-def _rows_from_cut_lists(aig: Aig, k: int, max_cuts_per_node: int) -> CutArrays:
-    """The rows of :func:`build_cut_arrays`, copied from the scalar cut lists.
-
-    Tables come from unmemoised cone walks and the lists are dropped once
-    copied, so the rows are the only cut data the graph keeps.
-    """
-    arrays = aig.arrays()
-    cuts = enumerate_cut_lists(aig, k, max_cuts_per_node, include_trivial=True)
-    pad = (SENTINEL,) * 4
-    leaves = array("q")
-    sizes = array("q")
-    tables = array("q")
-    volumes = array("q")
-    start = np.zeros(arrays.size, dtype=np.int64)
-    count = np.zeros(arrays.size, dtype=np.int64)
-
-    def emit(var: int) -> None:
-        start[var] = len(sizes)
-        count[var] = len(cuts[var])
-        for cut in cuts.pop(var):
-            leaves.extend(cut.leaves + pad[cut.size :])
-            sizes.append(cut.size)
-            if cut.leaves == (var,):
-                tables.append(0b10)
-                volumes.append(0)
-            else:
-                tables.append(cone_truth_table(aig, var * 2, cut.leaves, memo=False))
-                volumes.append(cut_volume(aig, cut))
-
-    for var in [0] + arrays.pi_vars.tolist():
-        emit(var)
-    wave_row_ranges: List[Tuple[int, int]] = []
-    for nodes in arrays.and_level_groups():
-        begin = len(sizes)
-        for var in nodes.tolist():
-            emit(var)
-        wave_row_ranges.append((begin, len(sizes)))
-    return CutArrays(
-        size=arrays.size,
-        leaves=np.frombuffer(leaves, dtype=np.int64).reshape(-1, 4),
-        sizes=np.frombuffer(sizes, dtype=np.int64),
-        tables=np.frombuffer(tables, dtype=np.int64),
-        volumes=np.frombuffer(volumes, dtype=np.int64),
-        start=start,
-        count=count,
-        num_rows=len(sizes),
-        hazard_fallbacks=0,
-        wave_row_ranges=wave_row_ranges,
-    )
-
-
 def _rows_from_waves(aig: Aig, k: int, max_cuts_per_node: int) -> CutArrays:
     """The rows of :func:`build_cut_arrays`, merged a level wave at a time."""
     arrays = aig.arrays()
     size = arrays.size
-    num_words = (size + 63) >> 6 if size else 1
     capacity = 1 + len(arrays.pi_vars) + aig.num_ands * (max_cuts_per_node + 1)
     leaves_buf = np.full((capacity, 4), SENTINEL, dtype=np.int64)
     sizes_buf = np.zeros(capacity, dtype=np.int64)
     tables_buf = np.zeros(capacity, dtype=np.int64)
-    interior_buf = np.zeros((capacity, num_words), dtype=np.uint64)
+    sig_buf = np.zeros(capacity, dtype=np.uint64)
+    # Row r's interior is members[member_start[r] : + member_count[r]].
+    member_start = np.zeros(capacity, dtype=np.int64)
+    member_count = np.zeros(capacity, dtype=np.int64)
+    members = np.empty(capacity, dtype=np.int64)
+    members_used = 0
     start = np.zeros(size, dtype=np.int64)
     count = np.zeros(size, dtype=np.int64)
+    one_u64 = np.uint64(1)
 
     # Base rows: the constant node and every PI carry just their trivial
     # cut.  Constant node included because the scalar cone walk overrides a
     # leaf's value even when the leaf is the constant, so its "table" is
     # the identity, like a PI's.
-    cursor = 0
-    base_vars = [0] + arrays.pi_vars.tolist() if size else []
-    for var in base_vars:
-        leaves_buf[cursor, 0] = var
-        sizes_buf[cursor] = 1
-        tables_buf[cursor] = 0b10
-        start[var] = cursor
-        count[var] = 1
-        cursor += 1
+    base_vars = np.concatenate(([0], arrays.pi_vars)).astype(np.int64)
+    cursor = len(base_vars)
+    leaves_buf[:cursor, 0] = base_vars
+    sizes_buf[:cursor] = 1
+    tables_buf[:cursor] = 0b10
+    sig_buf[:cursor] = one_u64 << (base_vars & 63).astype(np.uint64)
+    start[base_vars] = np.arange(cursor)
+    count[base_vars] = 1
 
     fanin0_var = arrays.fanin0_var
     fanin1_var = arrays.fanin1_var
@@ -358,9 +261,7 @@ def _rows_from_waves(aig: Aig, k: int, max_cuts_per_node: int) -> CutArrays:
     fanin1_comp = arrays.fanin1_comp
     hazard_fallbacks = 0
     wave_row_ranges: List[Tuple[int, int]] = []
-    xv = np.arange(16, dtype=np.int64)
-    xrow = xv[None, :]
-    one_u64 = np.uint64(1)
+    xrow = np.arange(16, dtype=np.int64)[None, :]
 
     for nodes in arrays.and_level_groups():
         wave_begin = cursor
@@ -370,12 +271,17 @@ def _rows_from_waves(aig: Aig, k: int, max_cuts_per_node: int) -> CutArrays:
         n1 = count[f1]
         ppn = count[f0] * n1
         num_pairs = int(ppn.sum())
-        node_of = np.repeat(nodes, ppn)
+        grp = np.repeat(np.arange(num_nodes), ppn)
         local = _segmented_arange(ppn, num_pairs)
         n1_rep = np.repeat(n1, ppn)
         pair_i = local // n1_rep
         row0 = np.repeat(start[f0], ppn) + pair_i
         row1 = np.repeat(start[f1], ppn) + (local - pair_i * n1_rep)
+
+        # ---- signature filter: over k signature bits is over k leaves -- #
+        sig = sig_buf[row0] | sig_buf[row1]
+        within = np.nonzero(_popcount_rows(sig[:, None]) <= k)[0]
+        grp, row0, row1, sig = grp[within], row0[within], row1[within], sig[within]
 
         # ---- merge: sorted-unique union of the two padded leaf rows ---- #
         cat = np.concatenate((leaves_buf[row0], leaves_buf[row1]), axis=1)
@@ -385,97 +291,59 @@ def _rows_from_waves(aig: Aig, k: int, max_cuts_per_node: int) -> CutArrays:
         valid[:, 1:] = (cat[:, 1:] != cat[:, :-1]) & (cat[:, 1:] != SENTINEL)
         merged_size = valid.sum(axis=1)
         feasible = np.nonzero(merged_size <= k)[0]
-        cat = cat[feasible]
-        valid = valid[feasible]
-        merged_size = merged_size[feasible]
-        node_of = node_of[feasible]
-        row0 = row0[feasible]
-        row1 = row1[feasible]
-        num_cand = len(feasible)
-        merged = np.full((num_cand, 4), SENTINEL, dtype=np.int64)
+        cat, valid, merged_size = cat[feasible], valid[feasible], merged_size[feasible]
+        grp, row0, row1, sig = grp[feasible], row0[feasible], row1[feasible], sig[feasible]
+        merged = np.full((len(feasible), 4), SENTINEL, dtype=np.int64)
         col = valid.cumsum(axis=1) - 1
         rows_nz, cols_nz = np.nonzero(valid)
         merged[rows_nz, col[rows_nz, cols_nz]] = cat[rows_nz, cols_nz]
 
-        # ---- one stable sort on the packed (size, leaves) key ---- #
-        # Equal leaf sets land adjacent (equal leaves => equal size), and
-        # the surviving order after dedup + prune is already the scalar
-        # pipeline's final (size, leaves) order.  Stability makes the
-        # first row of each duplicate run the lowest (i, j) producing
-        # pair — the instance the scalar dedup keeps.
-        packed = (merged_size << _PACK_SIZE_SHIFT) | (
-            (merged << _PACK_SHIFTS[None, :]).sum(axis=1)
+        # ---- one stable sort on (node, size, leaves) ---- #
+        # Equal leaf sets land adjacent, and stability makes the first row
+        # of each run the lowest producing (i, j) pair, the one the scalar
+        # dedup keeps.  After dedup and prune the order is final.
+        hi = (merged_size << 60) | (merged[:, 0] << 30) | merged[:, 1]
+        lo = (merged[:, 2] << 30) | merged[:, 3]
+        order = np.lexsort((lo, hi, grp))
+        s_grp, s_hi, s_lo = grp[order], hi[order], lo[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (s_grp[1:] != s_grp[:-1]) | (s_hi[1:] != s_hi[:-1]) | (
+            s_lo[1:] != s_lo[:-1]
         )
-        order = np.lexsort((packed, node_of))
-        s_node = node_of[order]
-        s_packed = packed[order]
-        first = np.empty(num_cand, dtype=bool)
-        if num_cand:
-            first[0] = True
-            first[1:] = (s_node[1:] != s_node[:-1]) | (
-                s_packed[1:] != s_packed[:-1]
-            )
         uniq = order[first]
-        u_node = s_node[first]
+        u_grp = s_grp[first]
         u_leaves = merged[uniq]
         u_size = merged_size[uniq]
-        num_uniq = len(uniq)
-        grp = np.searchsorted(nodes, u_node)
+        u_sig = sig[uniq]
 
         # ---- prune: drop sets with a strict subset among the node's sets #
-        if num_nodes <= _MAX_LOOKUP_WAVE:
-            # Generate every proper subset's packed key (one matmul) and
-            # look it up among the node's candidate keys: found + smaller
-            # popcount == a strict subset exists.  The compound search key
-            # prefixes the wave-local group index, under which the deduped
-            # rows are already globally sorted.
-            u_packed = s_packed[first]
-            ckey = (grp.astype(np.uint64) << np.uint64(55)) | u_packed.astype(
-                np.uint64
-            )
-            sub_keys = u_leaves @ _SUB_W + _SUB_B[None, :]
-            csub = (grp.astype(np.uint64)[:, None] << np.uint64(55)) | (
-                sub_keys.astype(np.uint64)
-            )
-            pos = np.searchsorted(ckey, csub.ravel())
-            np.minimum(pos, num_uniq - 1, out=pos)
-            found = (ckey[pos] == csub.ravel()).reshape(num_uniq, 14)
-            dominated = (found & (_SUB_PC[None, :] < u_size[:, None])).any(
-                axis=1
-            )
-        else:
-            # A strict subset is strictly smaller, so only rows with
-            # size < k can dominate — and sorted-by-size order puts them
-            # first in each node's block.  Pair dominators x group rows.
-            m_per = np.bincount(grp, minlength=num_nodes)
-            grp_start = np.cumsum(m_per) - m_per
-            dominators = np.nonzero(u_size < k)[0]
-            dom_grp = grp[dominators]
-            pair_m = m_per[dom_grp]
-            num_dpairs = int(pair_m.sum())
-            dominated = np.zeros(num_uniq, dtype=bool)
-            if num_dpairs:
-                idx_a = np.repeat(dominators, pair_m)
-                idx_b = np.repeat(
-                    grp_start[dom_grp], pair_m
-                ) + _segmented_arange(pair_m, num_dpairs)
-                la = u_leaves[idx_a]
-                lb = u_leaves[idx_b]
-                a_in_b = ((la[:, :, None] == lb[:, None, :]).any(axis=2)) | (
-                    la == SENTINEL
-                )
-                strict = (u_size[idx_a] < u_size[idx_b]) & a_in_b.all(axis=1)
-                dominated[idx_b[strict]] = True
+        # A strict subset is strictly smaller, and each node's rows ascend
+        # by size, so row a (size < k) is paired with the rows of its node
+        # from the first one larger than it to the end of the node's block.
+        size_key = u_grp * 8 + u_size
+        grp_end = np.cumsum(np.bincount(u_grp, minlength=num_nodes))
+        dominators = np.nonzero(u_size < k)[0]
+        larger = np.searchsorted(size_key, size_key[dominators], side="right")
+        pair_m = grp_end[u_grp[dominators]] - larger
+        idx_a = np.repeat(dominators, pair_m)
+        idx_b = _segments(larger, pair_m)
+        maybe = np.nonzero((u_sig[idx_a] & ~u_sig[idx_b]) == 0)[0]
+        idx_a, idx_b = idx_a[maybe], idx_b[maybe]
+        la = u_leaves[idx_a]
+        a_in_b = (la[:, :, None] == u_leaves[idx_b][:, None, :]).any(axis=2) | (
+            la == SENTINEL
+        )
+        dominated = np.zeros(len(uniq), dtype=bool)
+        dominated[idx_b[a_in_b.all(axis=1)]] = True
 
         # ---- truncation (order is already final) ---- #
         keep = np.nonzero(~dominated)[0]
-        k_grp = grp[keep]
-        surv_per_node = np.bincount(k_grp, minlength=num_nodes)
-        rank = _segmented_arange(surv_per_node, len(keep))
-        trunc = rank < max_cuts_per_node
-        keep = keep[trunc]
-        k_grp = k_grp[trunc]
-        k_node = u_node[keep]
+        rank = _segmented_arange(
+            np.bincount(u_grp[keep], minlength=num_nodes), len(keep)
+        )
+        keep = keep[rank < max_cuts_per_node]
+        k_grp = u_grp[keep]
+        k_node = nodes[k_grp]
         k_leaves = u_leaves[keep]
         k_size = u_size[keep]
         k_rows = uniq[keep]
@@ -483,17 +351,28 @@ def _rows_from_waves(aig: Aig, k: int, max_cuts_per_node: int) -> CutArrays:
         k_row1 = row1[k_rows]
         num_kept = len(keep)
 
-        # ---- interiors + hazard detection ---- #
-        combined = interior_buf[k_row0] | interior_buf[k_row1]
-        # SENTINEL's word index is out of range; clamp it (the bit read from
-        # the clamped word is discarded by the != SENTINEL mask below).
-        word_idx = np.minimum(k_leaves >> 6, num_words - 1)
-        bit_idx = (k_leaves & 63).astype(np.uint64)
-        leaf_words = combined[np.arange(num_kept)[:, None], word_idx]
-        leaf_bits = (leaf_words >> bit_idx) & one_u64
-        hazard = (
-            leaf_bits.astype(bool) & (k_leaves != SENTINEL)
-        ).any(axis=1)
+        # ---- interiors: both producing member lists plus the node ---- #
+        # Keys row * size + member sort by row, then member; member ids
+        # and leaves are below size, so a key names one (row, variable).
+        # The three parts are each sorted already, which the stable sort
+        # (a merge sort) only has to merge.
+        c0 = member_count[k_row0]
+        c1 = member_count[k_row1]
+        row_base = np.arange(num_kept, dtype=np.int64) * size
+        keys = np.concatenate(
+            (
+                np.repeat(row_base, c0) + members[_segments(member_start[k_row0], c0)],
+                np.repeat(row_base, c1) + members[_segments(member_start[k_row1], c1)],
+                row_base + k_node,
+            )
+        )
+        keys.sort(kind="stable")
+        distinct = np.ones(len(keys), dtype=bool)
+        distinct[1:] = keys[1:] != keys[:-1]
+        keys = keys[distinct]
+        leaf_keys = row_base[:, None] + k_leaves
+        found = np.minimum(np.searchsorted(keys, leaf_keys), len(keys) - 1)
+        hazard = ((keys[found] == leaf_keys) & (k_leaves != SENTINEL)).any(axis=1)
 
         # ---- tables: expand both producing tables onto the merged leaves #
         t0 = tables_buf[k_row0]
@@ -514,6 +393,23 @@ def _rows_from_waves(aig: Aig, k: int, max_cuts_per_node: int) -> CutArrays:
         bits &= xrow < (np.int64(1) << k_size)[:, None]
         k_tables = (bits << xrow).sum(axis=1)
 
+        # ---- hazard fallback: cone walks for table and members ---- #
+        hazard_rows = np.nonzero(hazard)[0]
+        if len(hazard_rows):
+            hazard_fallbacks += len(hazard_rows)
+            walked = []
+            for local_row in hazard_rows.tolist():
+                var = int(k_node[local_row])
+                cut_leaves = tuple(k_leaves[local_row, : k_size[local_row]].tolist())
+                k_tables[local_row] = cone_truth_table(
+                    aig, var * 2, cut_leaves, memo=False
+                )
+                interior = _interior_walk(aig, var, cut_leaves)
+                walked.append(row_base[local_row] + np.asarray(interior, dtype=np.int64))
+            keys = np.sort(
+                np.concatenate([keys[~hazard[keys // size]]] + walked)
+            )
+
         # ---- write the wave block: kept rows + one trivial row per node #
         kept_per_node = np.bincount(k_grp, minlength=num_nodes)
         kept_starts = np.cumsum(kept_per_node) - kept_per_node
@@ -522,45 +418,31 @@ def _rows_from_waves(aig: Aig, k: int, max_cuts_per_node: int) -> CutArrays:
         leaves_buf[dest_kept] = k_leaves
         sizes_buf[dest_kept] = k_size
         tables_buf[dest_kept] = k_tables
-        interior_buf[dest_kept] = combined
-        node_word = (k_node >> 6).astype(np.int64)
-        interior_buf[dest_kept, node_word] |= one_u64 << (
-            k_node & 63
-        ).astype(np.uint64)
+        sig_buf[dest_kept] = u_sig[keep]
+        owner = keys // size
+        k_count = np.bincount(owner, minlength=num_kept)
+        member_start[dest_kept] = members_used + np.cumsum(k_count) - k_count
+        member_count[dest_kept] = k_count
+        members_end = members_used + len(keys)
+        if members_end > len(members):
+            members = np.resize(members, 2 * members_end)
+        members[members_used:members_end] = keys - owner * size
+        members_used = members_end
         leaves_buf[dest_trivial, 0] = nodes
         sizes_buf[dest_trivial] = 1
         tables_buf[dest_trivial] = 0b10
+        sig_buf[dest_trivial] = one_u64 << (nodes & 63).astype(np.uint64)
         start[nodes] = cursor + kept_starts + np.arange(num_nodes)
         count[nodes] = kept_per_node + 1
         cursor += num_kept + num_nodes
         wave_row_ranges.append((wave_begin, cursor))
-
-        # ---- hazard fallback: scalar cone walk for suspicious merges ---- #
-        hazard_rows = np.nonzero(hazard)[0]
-        if len(hazard_rows):
-            hazard_fallbacks += len(hazard_rows)
-            for local_row in hazard_rows.tolist():
-                dest = int(dest_kept[local_row])
-                var = int(k_node[local_row])
-                cut_leaves = tuple(
-                    int(leaf)
-                    for leaf in k_leaves[local_row].tolist()
-                    if leaf != SENTINEL
-                )
-                tables_buf[dest] = cone_truth_table(aig, var * 2, cut_leaves)
-                row_interior = np.zeros(num_words, dtype=np.uint64)
-                for member in _interior_walk(aig, var, cut_leaves):
-                    row_interior[member >> 6] |= one_u64 << np.uint64(
-                        member & 63
-                    )
-                interior_buf[dest] = row_interior
 
     return CutArrays(
         size=size,
         leaves=leaves_buf[:cursor],
         sizes=sizes_buf[:cursor],
         tables=tables_buf[:cursor],
-        volumes=_popcount_rows(interior_buf[:cursor]),
+        volumes=member_count[:cursor],
         start=start,
         count=count,
         num_rows=cursor,

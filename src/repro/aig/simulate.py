@@ -4,8 +4,8 @@ Simulation serves three purposes in this library:
 
 * computing exact truth tables of small fanin cones (used by the rewriting
   and refactoring transforms and by the technology mapper's cut functions),
-* random simulation signatures used to screen resubstitution candidates and
-  to check functional equivalence probabilistically on large graphs,
+* random simulation signatures used to check functional equivalence
+  probabilistically on large graphs,
 * exhaustive equivalence checking of whole designs with few primary inputs.
 
 Patterns are packed into Python integers, one bit per pattern, so a single
@@ -15,8 +15,6 @@ pass over the graph evaluates an arbitrary number of patterns in parallel.
 from __future__ import annotations
 
 from typing import Dict, List, Sequence
-
-import numpy as np
 
 from repro.aig.graph import Aig
 from repro.aig.literals import is_complemented, literal_var
@@ -75,40 +73,6 @@ def simulate(aig: Aig, pi_values: Sequence[int], num_patterns: int) -> List[int]
             v1 = ~v1 & mask
         values[var] = v0 & v1
     return values
-
-
-def _simulate_vectorized(
-    aig: Aig, pi_values: Sequence[int], num_patterns: int, mask: int
-) -> List[int]:
-    """Level-parallel simulation over 64-bit lanes (bit-identical results)."""
-    arrays = aig.arrays()
-    num_words = (num_patterns + 63) // 64
-    num_bytes = num_words * 8
-    lanes = np.zeros((arrays.size, num_words), dtype=np.uint64)
-    for var, word in zip(aig.pi_vars, pi_values):
-        packed = (word & mask).to_bytes(num_bytes, "little")
-        lanes[var] = np.frombuffer(packed, dtype="<u8")
-    # Complement masks: all-ones rows for complemented fanin edges.  The
-    # trailing junk bits they introduce beyond num_patterns are cleared by
-    # the tail mask after each AND.
-    f0v = arrays.fanin0_var
-    f1v = arrays.fanin1_var
-    full = np.uint64(0xFFFFFFFFFFFFFFFF)
-    tail = np.full(num_words, full, dtype=np.uint64)
-    spill = num_patterns % 64
-    if spill:
-        tail[-1] = np.uint64((1 << spill) - 1)
-    comp0 = np.where(arrays.fanin0_comp, full, np.uint64(0))
-    comp1 = np.where(arrays.fanin1_comp, full, np.uint64(0))
-    for group in arrays.and_level_groups():
-        v0 = lanes[f0v[group]] ^ comp0[group][:, None]
-        v1 = lanes[f1v[group]] ^ comp1[group][:, None]
-        lanes[group] = (v0 & v1) & tail
-    data = lanes.tobytes()
-    return [
-        int.from_bytes(data[i * num_bytes : (i + 1) * num_bytes], "little")
-        for i in range(arrays.size)
-    ]
 
 
 def literal_values(

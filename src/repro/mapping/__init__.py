@@ -8,7 +8,6 @@ from repro.mapping.mapper import (
     TechnologyMapper,
     map_aig,
 )
-from repro.mapping.matcher import classify_single_input, reduce_to_support
 from repro.mapping.netlist import MappedGate, MappedNetlist
 from repro.mapping.postopt import PostMappingOptimizer, PostOptOptions, PostOptReport
 
@@ -23,7 +22,5 @@ __all__ = [
     "PostOptOptions",
     "PostOptReport",
     "TechnologyMapper",
-    "classify_single_input",
     "map_aig",
-    "reduce_to_support",
 ]

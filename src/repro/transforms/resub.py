@@ -5,19 +5,17 @@ signatures:
 
 * nodes whose global function is constant are replaced by that constant;
 * nodes computing the same global function (possibly complemented) are
-  merged, keeping the representative with the smallest logic level.
+  merged into the first of them in topological order.
 
-When the design has few primary inputs (the benchmark designs of the paper
-have 14-18), exhaustive simulation gives *exact* global functions, so the
-merge is provably safe.  For wider designs the pass uses random signatures
-only to *identify* candidates, then verifies each candidate pair exactly over
-a common cut before merging; candidates that cannot be verified cheaply are
-left untouched, keeping the transform conservative.
+When the design has at most ``exact_pi_limit`` primary inputs (the
+benchmark designs of the paper have 14-18), exhaustive simulation gives
+*exact* global functions, so the merge is provably safe.  Wider designs have
+no exact functions to merge on, so the pass returns ``aig.cleanup()``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.aig.graph import Aig, rebuild_map
 from repro.aig.literals import (
@@ -28,9 +26,8 @@ from repro.aig.literals import (
     negate,
     negate_if,
 )
-from repro.aig.simulate import exhaustive_pi_patterns, random_pi_patterns, simulate
+from repro.aig.simulate import exhaustive_pi_patterns, simulate
 from repro.transforms.base import Transform
-from repro.utils.rng import RngLike, ensure_rng
 
 
 class Resubstitute(Transform):
@@ -38,47 +35,39 @@ class Resubstitute(Transform):
 
     name = "rs"
 
-    def __init__(self, exact_pi_limit: int = 16, rng: RngLike = None) -> None:
+    def __init__(self, exact_pi_limit: int = 16) -> None:
         self.exact_pi_limit = exact_pi_limit
-        self._rng = ensure_rng(rng)
 
     def apply(self, aig: Aig) -> Aig:
-        exact = aig.num_pis <= self.exact_pi_limit
-        if exact:
-            num_patterns = 1 << aig.num_pis
-            patterns = exhaustive_pi_patterns(aig.num_pis)
-        else:
-            num_patterns = 1024
-            patterns = random_pi_patterns(aig.num_pis, num_patterns, self._rng)
-        values = simulate(aig, patterns, num_patterns)
+        if aig.num_pis > self.exact_pi_limit:
+            return aig.cleanup()
+        num_patterns = 1 << aig.num_pis
+        values = simulate(aig, exhaustive_pi_patterns(aig.num_pis), num_patterns)
         mask = (1 << num_patterns) - 1
 
-        levels = aig.levels()
         new = Aig(aig.name)
         mapping = rebuild_map(aig, new)
-        # Map signature -> (old var, polarity) of the chosen representative.
-        representative: Dict[int, int] = {0: CONST0}
+        # Global function -> new literal of the first node computing it.
         signature_of_lit: Dict[int, int] = {}
 
         for var in aig.and_vars():
             f0, f1 = aig.fanins(var)
             signature = values[var] & mask
             replacement: Optional[int] = None
-            if exact:
-                if signature == 0:
-                    replacement = CONST0
-                elif signature == mask:
-                    replacement = CONST1
-                elif signature in signature_of_lit:
-                    replacement = signature_of_lit[signature]
-                elif (~signature & mask) in signature_of_lit:
-                    replacement = negate(signature_of_lit[~signature & mask])
+            if signature == 0:
+                replacement = CONST0
+            elif signature == mask:
+                replacement = CONST1
+            elif signature in signature_of_lit:
+                replacement = signature_of_lit[signature]
+            elif (~signature & mask) in signature_of_lit:
+                replacement = negate(signature_of_lit[~signature & mask])
             if replacement is None:
                 replacement = new.add_and(
                     negate_if(mapping[literal_var(f0)], is_complemented(f0)),
                     negate_if(mapping[literal_var(f1)], is_complemented(f1)),
                 )
-                if exact and signature not in signature_of_lit:
+                if signature not in signature_of_lit:
                     signature_of_lit[signature] = replacement
             mapping[var] = replacement
 

@@ -1,4 +1,4 @@
-"""K-feasible cut enumeration over Python ``Cut`` lists.
+"""K-feasible cut enumeration over Python ``Cut`` lists, kept as an oracle.
 
 A *cut* of node ``n`` is a set of nodes (leaves) such that every path from a
 primary input to ``n`` passes through a leaf.  A cut is *k-feasible* when it
@@ -8,10 +8,10 @@ This module holds the reference formulation: the cut set of an AND node is
 the pairwise union of its fanins' cut sets, filtered to k leaves, pruned of
 dominated cuts, and truncated to a per-node limit to bound runtime.  The
 production cut rows of rewriting and mapping come from the level-wave
-batches of :mod:`repro.aig.cut_arrays`, which reproduce these lists cut for
-cut; :func:`enumerate_cut_lists` only feeds those rows for graphs over
-:data:`~repro.aig.cut_arrays.MAX_VECTOR_GRAPH_SIZE` variables, where the
-batches' packed keys overflow.
+batches of :mod:`repro.aig.cut_arrays`, which must reproduce these lists
+cut for cut; ``test_cuts.py``, ``test_dp_arrays.py``,
+``test_rewrite_rows.py``, ``mapping_oracle.py`` and ``rewrite_oracle.py``
+compare against them.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.aig.graph import Aig
 from repro.aig.literals import literal_var
-from repro.aig.simulate import cone_truth_table
 from repro.errors import AigError
 
 
@@ -37,22 +36,9 @@ class Cut:
         """Number of leaves."""
         return len(self.leaves)
 
-    def dominates(self, other: "Cut") -> bool:
-        """True when this cut's leaves are a subset of *other*'s leaves."""
-        return set(self.leaves).issubset(other.leaves)
-
-    def truth_table(self, aig: Aig) -> int:
-        """Exact truth table of the root over the cut leaves."""
-        return cone_truth_table(aig, self.root * 2, self.leaves)
-
 
 def _merge_leaves(la: Tuple[int, ...], lb: Tuple[int, ...], k: int) -> Optional[Tuple[int, ...]]:
-    """Sorted-unique union of two sorted leaf tuples; None past *k* leaves.
-
-    Leaf tuples are tiny (at most *k* entries), so C-level set union plus
-    ``sorted`` beats a hand-rolled two-pointer merge — this is the hot
-    inner step of enumeration.
-    """
+    """Sorted-unique union of two sorted leaf tuples; None past *k* leaves."""
     if la == lb:
         return la if len(la) <= k else None
     union = set(la)
@@ -60,14 +46,6 @@ def _merge_leaves(la: Tuple[int, ...], lb: Tuple[int, ...], k: int) -> Optional[
     if len(union) > k:
         return None
     return tuple(sorted(union))
-
-
-def merge_cuts(a: Cut, b: Cut, root: int, k: int) -> Optional[Cut]:
-    """Union of two fanin cuts rooted at *root*; None when larger than *k*."""
-    leaves = _merge_leaves(a.leaves, b.leaves, k)
-    if leaves is None:
-        return None
-    return Cut(root=root, leaves=leaves)
 
 
 def _prune_dominated(cuts: List[Cut]) -> List[Cut]:
@@ -138,16 +116,13 @@ def enumerate_cut_lists(
         style truncation keeps enumeration near-linear in practice.
     include_trivial:
         Whether the trivial cut ``{node}`` is kept in each node's list (the
-        cut rows need it as the last row of every node).
+        cut rows hold it as the last row of every node).
 
     Returns
     -------
     dict
         Maps each variable id to its list of cuts.  PIs and the constant node
-        only carry their trivial cut.  The result is built afresh on every
-        call and nothing is memoised: the one production caller copies it
-        into memoised :class:`~repro.aig.cut_arrays.CutArrays` rows and lets
-        the lists go.
+        only carry their trivial cut.
     """
     if k < 2:
         raise AigError(f"cut size k must be at least 2, got {k}")
@@ -161,18 +136,6 @@ def enumerate_cut_lists(
             var, cuts[f0v[var]], cuts[f1v[var]], k, max_cuts_per_node, include_trivial
         )
     return cuts
-
-
-def best_cut_per_node(
-    cuts: Dict[int, List[Cut]], min_leaves: int = 2
-) -> Dict[int, Cut]:
-    """Pick the largest non-trivial cut per node (used by rewriting)."""
-    best: Dict[int, Cut] = {}
-    for var, node_cuts in cuts.items():
-        candidates = [c for c in node_cuts if c.size >= min_leaves and c.leaves != (var,)]
-        if candidates:
-            best[var] = max(candidates, key=lambda c: c.size)
-    return best
 
 
 def cut_volume(aig: Aig, cut: Cut) -> int:

@@ -2,8 +2,9 @@
 
 :func:`repro.mapping.dp_arrays.try_full_dp` chooses every node's cut and
 realisation with per-wave array reductions.  This module is the per-node
-Python chooser it replaced: enumerate each node's cuts with
-:func:`~repro.aig.cuts.enumerate_cut_lists`, evaluate every (cut, match) pair
+Python chooser it replaced: enumerate each node's cuts with the ``Cut``-list
+oracle's :func:`~cut_oracle.enumerate_cut_lists`, reduce each cut function to
+its support with :func:`reduce_to_support`, evaluate every (cut, match) pair
 with plain float arithmetic, keep the first strictly better key, and fall
 back to the structural fanin-pair cut when no listed cut matches.
 ``test_dp_arrays.py`` and ``test_arraycore.py`` map the same graphs both
@@ -12,12 +13,13 @@ ways and compare the netlists gate for gate.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.aig.cuts import Cut, enumerate_cut_lists
 from repro.aig.graph import Aig
 from repro.aig.literals import literal_var
 from repro.aig.simulate import cone_truth_table
+from repro.aig.truth import support, table_mask
 from repro.errors import MappingError
 from repro.library.library import CellLibrary
 from repro.mapping.mapper import (
@@ -28,8 +30,51 @@ from repro.mapping.mapper import (
     NodeChoice,
     TechnologyMapper,
 )
-from repro.mapping.matcher import classify_single_input, reduce_to_support
 from repro.mapping.netlist import MappedNetlist
+
+from cut_oracle import Cut, enumerate_cut_lists
+
+
+def reduce_to_support(table: int, num_vars: int) -> Tuple[int, List[int]]:
+    """Re-express *table* over only the variables it depends on.
+
+    Returns ``(reduced_table, support_indices)`` where variable ``j`` of the
+    reduced table corresponds to original variable ``support_indices[j]``.
+    Constant functions return ``(0 or 1, [])`` (a one-bit table).
+    """
+    reduced, sup = _reduce_cached(table & table_mask(num_vars), num_vars)
+    return reduced, list(sup)
+
+
+@lru_cache(maxsize=200_000)
+def _reduce_cached(table: int, num_vars: int) -> Tuple[int, Tuple[int, ...]]:
+    sup = support(table, num_vars)
+    if not sup:
+        return (1 if table else 0), ()
+    reduced = 0
+    m = len(sup)
+    for minterm in range(1 << m):
+        original_minterm = 0
+        for j, var in enumerate(sup):
+            if (minterm >> j) & 1:
+                original_minterm |= 1 << var
+        if (table >> original_minterm) & 1:
+            reduced |= 1 << minterm
+    return reduced, tuple(sup)
+
+
+def classify_single_input(table: int) -> bool:
+    """For a one-variable table, return True when it is the inverter (!x).
+
+    Raises :class:`MappingError` for constant tables (those must be handled
+    as constants, not aliases).
+    """
+    table &= 0b11
+    if table == 0b10:
+        return False
+    if table == 0b01:
+        return True
+    raise MappingError(f"single-input table {table:#04b} is constant, not a wire")
 
 
 class ScalarMapper(TechnologyMapper):

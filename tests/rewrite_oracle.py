@@ -3,9 +3,9 @@
 :class:`repro.transforms.rewrite.Rewrite` reads every cut's leaves, truth
 table and volume from the memoised cut rows and prices it with the
 count-only ISOP recursion.  This module is the per-cut formulation it
-replaced: enumerate ``Cut`` lists, walk each cut's cone twice
+replaced: enumerate the oracle's ``Cut`` lists, walk each cut's cone twice
 (:func:`~repro.aig.simulate.cone_truth_table` for its function,
-:func:`~repro.aig.cuts.cut_volume` for its node count), and price the
+:func:`~cut_oracle.cut_volume` for its node count), and price the
 function with the list ISOP of both polarities.  ``test_rewrite_rows.py``
 rewrites the same graphs both ways and compares them node for node.
 """
@@ -14,12 +14,13 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.aig.cuts import cut_volume, enumerate_cut_lists
 from repro.aig.graph import Aig, rebuild_map
 from repro.aig.literals import is_complemented, literal_var, negate_if
 from repro.aig.simulate import cone_truth_table
 from repro.aig.truth import isop, table_mask
 from repro.transforms.resynth import sop_cost, synthesize_truth
+
+from cut_oracle import cut_volume, enumerate_cut_lists
 
 
 def list_isop_cost(table: int, num_vars: int) -> int:

@@ -8,8 +8,9 @@ apparatus for that refactor:
   loops over ``fanins()``/``and_vars()``) are kept *here*, in the test file,
   and every array-core result must match them exactly — across 50 random
   AIGs and randomized transform sequences;
-* the vectorized simulation kernel must be bit-identical to the packed
-  big-int path for every pattern width, including non-multiples of 64;
+* the bit-parallel simulation kernel must be bit-identical to the
+  per-node reference for every pattern width, including non-multiples of
+  64;
 * ``exact_key``/``fingerprint`` are pinned to their pre-refactor constants
   (hashing inputs must not drift when the backing store changes shape);
 * the caches introduced by the refactor (array snapshot, fanout counts,
@@ -22,12 +23,12 @@ apparatus for that refactor:
 
 from __future__ import annotations
 
-import importlib
 import random
 
 import pytest
 
 from repro.aig.analysis import transitive_fanout
+from repro.aig.cut_arrays import build_cut_arrays
 from repro.aig.graph import Aig
 from repro.aig.literals import is_complemented, literal_var
 from repro.aig.random_graphs import random_aig
@@ -44,8 +45,6 @@ from repro.sta.analysis import analyze_timing
 from repro.transforms.engine import apply_script
 
 from mapping_oracle import ScalarMapper
-
-_sim_module = importlib.import_module("repro.aig.simulate")
 
 PRIMITIVES = ["b", "rw", "rwz", "rf", "rfz", "rs", "st"]
 
@@ -152,15 +151,14 @@ def test_arraycore_structural_and_simulation_differential(seed):
 
 @pytest.mark.parametrize("seed", range(50))
 def test_vectorized_simulation_kernel_bit_identical(seed):
-    """The uint64-lane kernel must equal the big-int path, whatever the
-    threshold heuristic would have picked — including pattern counts that
-    leave a partial tail word."""
+    """The bit-parallel kernel (:func:`simulate`) must equal the per-node
+    reference at pattern counts that are not a multiple of 64 too."""
     aig = _random_case(seed)
     for num_patterns in (256, 321, 512):
         patterns = random_pi_patterns(aig.num_pis, num_patterns, rng=seed + 1)
-        mask = (1 << num_patterns) - 1
-        vectorized = _sim_module._simulate_vectorized(aig, patterns, num_patterns, mask)
-        assert vectorized == _ref_simulate(aig, patterns, num_patterns)
+        assert simulate(aig, patterns, num_patterns) == _ref_simulate(
+            aig, patterns, num_patterns
+        )
 
 
 @pytest.mark.parametrize("seed", range(0, 50, 5))
@@ -294,8 +292,7 @@ def test_deep_chain_cone_truth_table_no_recursion_error():
 
 
 def test_deep_chain_cone_no_recursion_error_via_cut():
-    from repro.aig.cuts import Cut
-
+    """The cut rows hold a 2,501-node chain cone's table and volume."""
     aig = Aig("deep_chain_cut")
     a = aig.add_pi("a")
     b = aig.add_pi("b")
@@ -303,8 +300,11 @@ def test_deep_chain_cone_no_recursion_error_via_cut():
     for _ in range(2500):
         chain = aig.add_and(chain, a)
     aig.add_po(chain, "out")
-    cut = Cut(root=literal_var(chain), leaves=(literal_var(a), literal_var(b)))
-    assert cut.truth_table(aig) == 0b0010  # a & !b
+    rows = build_cut_arrays(aig, 2, 1)
+    row = rows.node_rows(literal_var(chain))[0]
+    assert rows.leaves[row, :2].tolist() == [literal_var(a), literal_var(b)]
+    assert rows.tables[row] == 0b0010  # a & !b
+    assert rows.volumes[row] == 2501
 
 
 # --------------------------------------------------------------------------- #

@@ -1,12 +1,23 @@
-"""Tests for k-feasible cut enumeration."""
+"""Tests for k-feasible cut enumeration: the ``Cut``-list oracle, and the
+cut rows on hand-built graphs."""
 
 import pytest
 
-from repro.aig.cuts import Cut, best_cut_per_node, cut_volume, enumerate_cut_lists, merge_cuts
+from repro.aig.cut_arrays import build_cut_arrays
 from repro.aig.graph import Aig
 from repro.aig.literals import literal_var
 from repro.aig.simulate import cone_truth_table
 from repro.errors import AigError
+
+from cut_oracle import Cut, cut_volume, enumerate_cut_lists
+
+
+def _row_tables(rows, var):
+    """Leaves -> table of each of *var*'s cut rows."""
+    return {
+        tuple(rows.leaves[row, : rows.sizes[row]].tolist()): int(rows.tables[row])
+        for row in rows.node_rows(var)
+    }
 
 
 @pytest.fixture()
@@ -65,39 +76,46 @@ def test_max_cuts_per_node_truncates(medium_random_aig):
 
 
 def test_merge_cuts_overflow_returns_none():
-    a = Cut(10, (1, 2, 3))
-    b = Cut(11, (4, 5))
-    assert merge_cuts(a, b, 12, k=4) is None
-    merged = merge_cuts(a, b, 12, k=5)
-    assert merged is not None and merged.size == 5
+    """A fanin cut pair whose union has more than k leaves makes no row."""
+    aig = Aig("wide")
+    a, b, c, d = (aig.add_pi(n) for n in "abcd")
+    root = aig.add_and(aig.add_and(aig.add_and(a, b), c), d)
+    aig.add_po(root, "f")
+    full = tuple(aig.pi_vars)
+    assert full not in _row_tables(build_cut_arrays(aig, 3, 8), literal_var(root))
+    assert full in _row_tables(build_cut_arrays(aig, 4, 8), literal_var(root))
 
 
 def test_cut_dominates():
-    small = Cut(9, (1, 2))
-    big = Cut(9, (1, 2, 3))
-    assert small.dominates(big)
-    assert not big.dominates(small)
+    """A leaf set holding a smaller leaf set of its node is pruned."""
+    aig = Aig("dominated")
+    a, b, c = (aig.add_pi(n) for n in "abc")
+    x = aig.add_and(a, b)
+    y = aig.add_and(x, c)
+    root = aig.add_and(x, y)
+    aig.add_po(root, "f")
+    va, vb, vc, vx = (literal_var(lit) for lit in (a, b, c, x))
+    # {a, b, c, x} is the union of two fanin cut pairs, and holds both
+    # {a, b, c} and {c, x}.
+    cuts = _row_tables(build_cut_arrays(aig, 4, 8), literal_var(root))
+    assert (va, vb, vc, vx) not in cuts
+    assert (va, vb, vc) in cuts and (vc, vx) in cuts
+    oracle = enumerate_cut_lists(aig, k=4)[literal_var(root)]
+    assert list(cuts) == [cut.leaves for cut in oracle]
 
 
 def test_cut_truth_table_matches_cone(small_tree):
     aig, ab, cd, root = small_tree
-    cut = Cut(root, (ab, cd))
-    assert cut.truth_table(aig) == 0b1000
-    full_cut = Cut(root, tuple(aig.pi_vars))
-    assert full_cut.truth_table(aig) == cone_truth_table(aig, root * 2, aig.pi_vars)
+    tables = _row_tables(build_cut_arrays(aig, 4, 8), root)
+    assert tables[(ab, cd)] == 0b1000
+    pis = tuple(aig.pi_vars)
+    assert tables[pis] == cone_truth_table(aig, root * 2, pis)
 
 
 def test_cut_volume(small_tree):
     aig, ab, cd, root = small_tree
     assert cut_volume(aig, Cut(root, (ab, cd))) == 1
     assert cut_volume(aig, Cut(root, tuple(aig.pi_vars))) == 3
-
-
-def test_best_cut_per_node(small_tree):
-    aig, ab, cd, root = small_tree
-    cuts = enumerate_cut_lists(aig, k=4)
-    best = best_cut_per_node(cuts)
-    assert best[root].size >= 2
 
 
 def test_every_cut_is_a_valid_cut(medium_random_aig):

@@ -15,7 +15,6 @@ import random
 import pytest
 
 from repro.aig import cut_arrays
-from repro.aig.cuts import enumerate_cut_lists
 from repro.aig.graph import Aig
 from repro.aig.random_graphs import random_aig
 from repro.aig.simulate import cone_truth_table
@@ -27,6 +26,7 @@ from repro.mapping import dp_arrays
 from repro.mapping.mapper import MappingOptions, TechnologyMapper
 from repro.sta.analysis import analyze_timing
 
+from cut_oracle import cut_volume, enumerate_cut_lists
 from mapping_oracle import ScalarMapper
 
 # A deliberately different library: other delays, other areas, a skewed
@@ -173,31 +173,47 @@ def _wide_wave_aig():
     return aig
 
 
+def _assert_rows_match_oracle(aig, rows, k, max_cuts):
+    """Every node's rows hold the oracle's cut list in order, each row with
+    the table and volume of its cone walk; the blocks follow wave order."""
+    oracle = enumerate_cut_lists(aig, k, max_cuts, include_trivial=True)
+    arrays = aig.arrays()
+    waves = arrays.and_level_groups()
+    order = [0] + arrays.pi_vars.tolist() + [int(v) for wave in waves for v in wave]
+    counts = rows.count[order]
+    assert (rows.start[order] == counts.cumsum() - counts).all()
+    assert rows.wave_row_ranges == [
+        (int(rows.start[wave[0]]), int(rows.start[wave[-1]] + rows.count[wave[-1]]))
+        for wave in waves
+    ]
+    assert rows.num_rows == int(counts.sum())
+    for var in range(aig.size):
+        cuts = oracle[var]
+        node_rows = rows.node_rows(var)
+        assert len(node_rows) == len(cuts), var
+        for row, cut in zip(node_rows, cuts):
+            size = int(rows.sizes[row])
+            assert tuple(rows.leaves[row, :size].tolist()) == cut.leaves, var
+            assert (rows.leaves[row, size:] == cut_arrays.SENTINEL).all(), var
+            if cut.leaves == (var,):
+                assert (rows.tables[row], rows.volumes[row]) == (0b10, 0), var
+            else:
+                table = cone_truth_table(aig, var * 2, cut.leaves)
+                assert rows.tables[row] == table, (var, cut.leaves)
+                assert rows.volumes[row] == cut_volume(aig, cut), (var, cut.leaves)
+
+
 def test_wide_wave_cut_prune_matches_scalar(library):
-    """Waves wider than the subset-lookup limit take the pairwise prune."""
+    """A wave of over 512 nodes prunes, truncates and composes like the
+    oracle's cut lists, and maps like the scalar DP."""
     aig = _wide_wave_aig()
     widths = [len(group) for group in aig.arrays().and_level_groups()]
-    assert max(widths) > cut_arrays._MAX_LOOKUP_WAVE, widths
+    assert max(widths) > 512, widths
 
     options = MappingOptions()
     k, max_cuts = options.cut_size, options.max_cuts_per_node
-    arrays_cuts = cut_arrays.build_cut_arrays(aig, k, max_cuts)
-    scalar_cuts = enumerate_cut_lists(aig, k, max_cuts, include_trivial=True)
-    for var in range(aig.size):
-        rows = arrays_cuts.node_rows(var)
-        leaves = [
-            tuple(
-                int(leaf)
-                for leaf in arrays_cuts.leaves[row]
-                if leaf != cut_arrays.SENTINEL
-            )
-            for row in rows
-        ]
-        assert leaves == [cut.leaves for cut in scalar_cuts[var]], var
-        tables = [int(arrays_cuts.tables[row]) for row in rows]
-        assert tables == [
-            cone_truth_table(aig, var * 2, cut) for cut in leaves
-        ], var
+    rows = cut_arrays.build_cut_arrays(aig, k, max_cuts)
+    _assert_rows_match_oracle(aig, rows, k, max_cuts)
 
     scalar, vector, _oracle = _map_both(aig, library, options)
     assert _netlist_signature(vector) == _netlist_signature(scalar)
@@ -205,21 +221,25 @@ def test_wide_wave_cut_prune_matches_scalar(library):
 
 @pytest.mark.parametrize("cut_size, max_cuts", [(2, 1), (3, 2), (4, 10)])
 def test_cut_list_rows_match_wave_rows(cut_size, max_cuts):
-    """Graphs over the packed-key limit copy their rows from the scalar cut
-    lists; on a small graph both builders must lay out the same rows."""
+    """The wave rows hold the oracle's cut lists, cone tables and volumes."""
     aig = _case(500 + cut_size)
-    waves = cut_arrays._rows_from_waves(aig, cut_size, max_cuts)
-    lists = cut_arrays._rows_from_cut_lists(aig, cut_size, max_cuts)
-    assert lists.num_rows == waves.num_rows
-    assert lists.wave_row_ranges == waves.wave_row_ranges
-    for field in ("leaves", "sizes", "tables", "volumes", "start", "count"):
-        assert (getattr(lists, field) == getattr(waves, field)).all(), field
+    rows = cut_arrays._rows_from_waves(aig, cut_size, max_cuts)
+    _assert_rows_match_oracle(aig, rows, cut_size, max_cuts)
+
+
+def test_rows_with_leaf_8191_match_the_oracle():
+    """Ids past 13 bits: variable 8191 is a real leaf, not padding."""
+    aig = random_aig(num_pis=64, num_ands=8150, num_pos=16, rng=random.Random(8194))
+    assert aig.size > 8191
+    rows = cut_arrays.build_cut_arrays(aig, 4, 10)
+    assert ((rows.leaves == 8191).any(axis=1) & (rows.sizes > 1)).any()
+    _assert_rows_match_oracle(aig, rows, 4, 10)
 
 
 def test_vectorized_dp_matches_scalar_over_packed_key_limit(library):
-    """Past 8,191 variables the cut rows come from the scalar cut lists."""
+    """A graph of more than 8,191 variables maps like the scalar DP."""
     aig = random_aig(num_pis=64, num_ands=8300, num_pos=16, rng=random.Random(8191))
-    assert aig.size > cut_arrays.MAX_VECTOR_GRAPH_SIZE
+    assert aig.size > 8191
     for mode in ("delay", "area"):
         scalar, vector, _oracle = _map_both(aig, library, MappingOptions(mode=mode))
         assert _netlist_signature(vector) == _netlist_signature(scalar), mode

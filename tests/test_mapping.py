@@ -1,4 +1,4 @@
-"""Tests for technology mapping: matcher helpers, netlist, and the mapper."""
+"""Tests for technology mapping: the oracle's matcher helpers, netlist, and the mapper."""
 
 import pytest
 from hypothesis import given, settings
@@ -9,10 +9,11 @@ from repro.aig.random_graphs import random_aig
 from repro.errors import MappingError
 from repro.library.sky130_lite import load_sky130_lite
 from repro.mapping.mapper import MappingOptions, TechnologyMapper, map_aig
-from repro.mapping.matcher import classify_single_input, reduce_to_support
 from repro.mapping.netlist import MappedNetlist
 from repro.mapping.simulate import check_mapping_equivalence, simulate_netlist
 from repro.aig.simulate import exhaustive_pi_patterns, simulate_pos
+
+from mapping_oracle import classify_single_input, reduce_to_support
 
 
 class TestMatcherHelpers:

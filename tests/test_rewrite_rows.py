@@ -6,7 +6,7 @@ ISOP recursion behind :func:`~repro.transforms.resynth.resynth_cost`.  The
 oracle in ``rewrite_oracle.py`` walks every cut's cone for its table and its
 volume and prices it from the ISOP cube lists.  Both must rebuild the same
 graph, node for node, and each ingredient is checked on its own as well:
-the rows' volumes against :func:`~repro.aig.cuts.cut_volume`, and the
+the rows' volumes against the oracle's :func:`~cut_oracle.cut_volume`, and the
 count-only cost against the list ISOP.
 """
 
@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro.aig import cut_arrays
-from repro.aig.cuts import Cut, cut_volume
 from repro.aig.graph import Aig
 from repro.aig.random_graphs import random_aig
 from repro.designs.registry import build_design, design_names
@@ -27,6 +26,7 @@ from repro.transforms.refactor import Refactor
 from repro.transforms.resynth import resynth_cost
 from repro.transforms.rewrite import Rewrite
 
+from cut_oracle import Cut, cut_volume
 from rewrite_oracle import list_isop_cost, oracle_rewrite
 
 SPECS = design_names()
@@ -96,9 +96,9 @@ def test_rewrite_matches_oracle_through_hazard_rows(seed, max_cuts):
 
 
 def test_rewrite_matches_oracle_over_packed_key_limit():
-    """Past 8,191 variables the rows come from the ``Cut`` lists."""
+    """A graph of more than 8,191 variables rewrites like the oracle."""
     aig = random_aig(num_pis=64, num_ands=8300, num_pos=16, rng=random.Random(8191))
-    assert aig.size > cut_arrays.MAX_VECTOR_GRAPH_SIZE
+    assert aig.size > 8191
     _assert_rewrites_match(aig)
 
 
@@ -148,13 +148,14 @@ def test_hazard_row_volumes_match_cut_volume(seed, max_cuts):
 @pytest.mark.parametrize("cut_size, max_cuts", [(2, 1), (3, 2), (4, 8)])
 def test_cut_list_row_volumes_match_cut_volume(cut_size, max_cuts):
     aig = _random_case(40 + cut_size)
-    rows = cut_arrays._rows_from_cut_lists(aig, cut_size, max_cuts)
+    rows = cut_arrays.build_cut_arrays(aig, cut_size, max_cuts)
     assert _assert_volumes_match(aig, rows) > 0
 
 
 def test_cut_list_rows_leave_no_cone_memo_behind():
-    aig = _random_case(50)
-    cut_arrays._rows_from_cut_lists(aig, 4, 8)
+    """The rows are the only cut data a graph keeps, hazard rows included."""
+    aig = _reconvergent_aig(146)
+    assert cut_arrays.build_cut_arrays(aig, 4, 4).hazard_fallbacks > 0
     assert aig._cone_table_cache == {}
 
 
@@ -163,9 +164,15 @@ def test_popcount_table_matches_bitwise_count(monkeypatch):
     words = rng.integers(0, 2**63, size=(300, 5), dtype=np.uint64)
     words[:, 1] |= np.uint64(1) << np.uint64(63)
     expected = [sum(bin(int(w)).count("1") for w in row) for row in words]
+    aig = build_design("EX68")
+    rows = cut_arrays._rows_from_waves(aig, 4, 8)
     assert cut_arrays._popcount_rows(words).tolist() == expected
     monkeypatch.setattr(cut_arrays, "_BITWISE_COUNT", None)
     assert cut_arrays._popcount_rows(words).tolist() == expected
+    # With the 16-bit table, the signature filter keeps the same rows.
+    table_rows = cut_arrays._rows_from_waves(aig, 4, 8)
+    for field in ("leaves", "sizes", "tables", "volumes", "start", "count"):
+        assert (getattr(table_rows, field) == getattr(rows, field)).all(), field
 
 
 # --------------------------------------------------------------------------- #
